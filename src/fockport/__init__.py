@@ -20,7 +20,7 @@ from .quasi_epr import (EprQualityReport, FilterOrder, QuasiEprResource,
                         resource_from_state)
 from .teleport import (BobState, MeasurementOutcome, ShiftedPhaseOperator,
                        SingleModeState, TeleportOutcome, average_fidelity,
-                       evaluate_outcome, fidelity, fidelity_bound,
+                       evaluate_all, evaluate_outcome, fidelity, fidelity_bound,
                        high_fidelity_region, outcome_probability,
                        parity_phase_correction, post_measurement_state,
                        reconstruct, shifted_phase_operator_note)
@@ -45,7 +45,7 @@ __all__ = [
     "ShiftedPhaseOperator", "shifted_phase_operator_note",
     "post_measurement_state", "reconstruct", "parity_phase_correction",
     "fidelity", "fidelity_bound", "outcome_probability", "average_fidelity",
-    "high_fidelity_region", "evaluate_outcome",
+    "high_fidelity_region", "evaluate_outcome", "evaluate_all",
     "RESOURCE_KINDS", "BetaGrid", "SweepSpec", "SweepResult",
     "run_sweep", "find_beta_q_numeric", "resource_for_kind", "figure_dataset",
 ]

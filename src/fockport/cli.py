@@ -24,7 +24,7 @@ from .states import coherent_coefficients
 from .su2 import SpinJ, SpinProjection, SpinState, basis_state, rotate_about_x
 from .sweep import (RESOURCE_KINDS, BetaGrid, SweepResult, SweepSpec,
                     figure_dataset, resource_for_kind, run_sweep, stamp)
-from .teleport import average_fidelity, evaluate_outcome
+from .teleport import _mean_fidelity, evaluate_all, evaluate_outcome
 
 
 def _fmt(value, precision: int) -> str:
@@ -124,16 +124,12 @@ def cmd_teleport(args) -> int:
     resource = resource_for_kind(args.resource, args.n, math.radians(beta_deg))
     target = coherent_coefficients(args.alpha)
     if args.all_q:
-        qs = list(range(args.n + target.k_max + 1))
+        outcomes = evaluate_all(target, resource, args.parity_correction)
     else:
-        qs = [args.q]
-    rows = []
-    for q in qs:
-        res = evaluate_outcome(target, resource, q, args.parity_correction)
-        rows.append((res.q, res.fidelity, res.bound, res.probability))
+        outcomes = [evaluate_outcome(target, resource, args.q, args.parity_correction)]
+    rows = [(res.q, res.fidelity, res.bound, res.probability) for res in outcomes]
     if args.all_q:
-        avg = average_fidelity(target, resource, args.parity_correction)
-        rows.append(("average", avg, None, None))
+        rows.append(("average", _mean_fidelity(outcomes), None, None))
     meta = {"kind": "teleport", "resource": args.resource, "n": args.n,
             "beta_deg": beta_deg, "alpha": args.alpha,
             "parity_correction": bool(args.parity_correction), "version": __version__}
@@ -234,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     rot.set_defaults(func=cmd_rotate)
 
     tel = subs.add_parser("teleport", help="conditional teleportation fidelity per outcome q")
-    tel.add_argument("--resource", choices=("j0", "2pt", "3pt", "4pt", "ideal"), required=True)
+    tel.add_argument("--resource", choices=RESOURCE_KINDS, required=True)
     tel.add_argument("--n", type=int, required=True, help="resource photon number N")
     tel.add_argument("--beta-deg", type=float, default=None)
     tel.add_argument("--alpha", type=float, default=0.0)

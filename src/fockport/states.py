@@ -8,7 +8,7 @@ state whose amplitude index n runs over |n>|N-n>.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,8 +125,8 @@ class CoherentTarget:
 
 def coherent_coefficients(alpha: float, tail_tol: float = 1e-12) -> CoherentTarget:
     """Coherent-state coefficient vector truncated at tail mass < tail_tol."""
-    if alpha < 0:
-        raise DomainError(f"alpha must be real and non-negative, got {alpha}")
+    if not math.isfinite(alpha) or alpha < 0:
+        raise DomainError(f"alpha must be finite and non-negative, got {alpha}")
     if alpha == 0.0:
         return CoherentTarget(0.0, 0, np.array([1.0]))
     # Poisson weights p_k = e^{-a^2} a^{2k} / k!; cut where the tail drops

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -22,7 +22,7 @@ from .quasi_epr import (FilterOrder, beta_q, filtered_input, ideal_resource,
                         make_resource, phase_distribution, quality)
 from .states import (RelativePhaseSpec, coherent_coefficients,
                      relative_phase_state)
-from .teleport import evaluate_outcome, fidelity, high_fidelity_region
+from .teleport import evaluate_all, evaluate_outcome, fidelity, high_fidelity_region
 
 _DEFAULT_STEP = math.radians(0.5)
 
@@ -140,21 +140,17 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """
     spec.validate()
     target = coherent_coefficients(spec.alpha)
-    if spec.q_list == "all":
-        qs = list(range(spec.N + target.k_max + 1))
-    else:
-        qs = [int(q) for q in spec.q_list]
+    qs = None if spec.q_list == "all" else [int(q) for q in spec.q_list]
     betas = spec.beta_grid.values()
 
     def point(beta: float):
         resource = resource_for_kind(spec.resource_kind, spec.N, float(beta))
         rep = quality(resource)
-        out = []
-        for q in qs:
-            res = evaluate_outcome(target, resource, q, spec.parity_correction)
-            out.append((math.degrees(beta), q, res.fidelity, res.bound, res.probability,
-                        rep.min_modulus, rep.zero_count, rep.flatness, rep.entropy))
-        return out
+        outcomes = (evaluate_all(target, resource, spec.parity_correction) if qs is None else
+                    [evaluate_outcome(target, resource, q, spec.parity_correction) for q in qs])
+        return [(math.degrees(beta), res.q, res.fidelity, res.bound, res.probability,
+                 rep.min_modulus, rep.zero_count, rep.flatness, rep.entropy)
+                for res in outcomes]
 
     workers = _worker_count()
     if workers == 1 or len(betas) == 1:

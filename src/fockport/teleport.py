@@ -11,6 +11,7 @@ evaluated directly from the collapsed amplitudes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -116,23 +117,47 @@ def shifted_phase_operator_note(resource_phase_offset: float) -> ShiftedPhaseOpe
     return ShiftedPhaseOperator(resource_phase_offset)
 
 
-def _window(target: CoherentTarget, resource: QuasiEprResource, q: int):
-    """k range k0..q with the target truncation applied; returns (k0, ks, ck, sv)."""
-    k0 = max(0, q - resource.N)
-    ks = np.arange(k0, q + 1)
-    ck = np.array([target.coefficient(int(k)) for k in ks])
-    sv = resource.s[q - ks]
-    return k0, ks, ck, sv
+def _evaluate(target: CoherentTarget, resource: QuasiEprResource, qs,
+              apply_parity_correction: bool):
+    """Yield the TeleportOutcome of each q in qs; P and F sum over k = k0..q in order.
+
+    c_k is zero-padded to k = 0..N+k_max and s reversed once, so q's window is
+    the slice c[k0:q+1] against s_rev[N-q+k0:] = s_{q-k}.
+    """
+    N, k_max = resource.N, target.k_max
+    c = np.concatenate((target.coeffs, np.zeros(N)))
+    s_rev = np.ascontiguousarray(resource.s[::-1])
+    # parity phase table over k = 0..N+k_max for q % 2, built when first needed
+    factors = functools.cache(lambda odd: _parity_factors(np.arange(N + k_max + 1), odd))
+    for q in qs:
+        if q < 0:
+            raise DomainError(f"q must be non-negative, got {q}")
+        if q > N + k_max:
+            yield TeleportOutcome(q, None, 0.0, 0.0)
+            continue
+        k0 = max(0, q - N)
+        w = c[k0:q + 1] ** 2
+        sv = s_rev[N - q + k0:]
+        p = float(np.sum(w * np.abs(sv) ** 2))
+        num_vec = w * sv * factors(q % 2)[k0:q + 1] if apply_parity_correction else w * sv
+        f = None if p <= 0.0 else float(abs(np.sum(num_vec)) ** 2 / p)
+        yield TeleportOutcome(q, f, float(np.sum(w[:min(q, k_max) - k0 + 1])), p)
+
+
+def evaluate_all(target: CoherentTarget, resource: QuasiEprResource,
+                 apply_parity_correction: bool = False) -> list[TeleportOutcome]:
+    """evaluate_outcome for every q = 0..N+k_max, in q order, in one pass.
+
+    Each row is bit-identical to evaluate_outcome at its q; the arrays the
+    windows are sliced from are built once instead of once per q.
+    """
+    qs = range(resource.N + target.k_max + 1)
+    return list(_evaluate(target, resource, qs, apply_parity_correction))
 
 
 def outcome_probability(target: CoherentTarget, resource: QuasiEprResource, q: int) -> float:
     """P(q) = sum_k |c_k|^2 |s_{q-k}|^2 over the reachable k window."""
-    if q < 0:
-        raise DomainError(f"q must be non-negative, got {q}")
-    if q > resource.N + target.k_max:
-        return 0.0
-    _, _, ck, sv = _window(target, resource, q)
-    return float(np.sum(ck ** 2 * np.abs(sv) ** 2))
+    return next(_evaluate(target, resource, (q,), False)).probability
 
 
 def post_measurement_state(target: CoherentTarget, resource: QuasiEprResource,
@@ -145,12 +170,13 @@ def post_measurement_state(target: CoherentTarget, resource: QuasiEprResource,
     the shifted-operator bookkeeping).
     """
     q = outcome.q
-    k0, ks, ck, sv = _window(target, resource, q)
-    phi = outcome.phase if measurement_phase is None else measurement_phase
-    weight = float(np.sum(ck ** 2 * np.abs(sv) ** 2))
+    weight = outcome_probability(target, resource, q)
     if weight <= 0.0:
         raise ImpossibleOutcomeError(f"outcome q = {q} has zero probability")
-    amps = np.exp(-1j * phi * ks) * ck * sv / math.sqrt(weight)
+    ks = np.arange(max(0, q - resource.N), q + 1)
+    ck = np.concatenate((target.coeffs, np.zeros(q + 1)))[ks]
+    phi = outcome.phase if measurement_phase is None else measurement_phase
+    amps = np.exp(-1j * phi * ks) * ck * resource.s[q - ks] / math.sqrt(weight)
     return BobState(resource.N, q, amps)
 
 
@@ -173,9 +199,7 @@ def reconstruct(bob: BobState, resource_phase_offset: float,
 
 def parity_phase_correction(state: SingleModeState, q: int) -> SingleModeState:
     """Apply e^{i (-1)^q (pi/2) k^2} at each Fock level k; exactly norm-preserving."""
-    k = np.arange(len(state.amplitudes))
-    powers = (k * k) % 4
-    factors = 1j ** powers if q % 2 == 0 else (-1j) ** powers
+    factors = _parity_factors(np.arange(len(state.amplitudes)), q)
     return SingleModeState(state.amplitudes * factors)
 
 
@@ -192,17 +216,11 @@ def fidelity(target: CoherentTarget, resource: QuasiEprResource, q: int,
     phase e^{i (-1)^q (pi/2) k^2}; moduli (and hence the denominator and
     the bound) are unchanged.
     """
-    if q < 0 or q > resource.N + target.k_max:
+    f = None if q < 0 else next(
+        _evaluate(target, resource, (q,), apply_parity_correction)).fidelity
+    if f is None:
         raise ImpossibleOutcomeError(f"outcome q = {q} has zero probability")
-    _, ks, ck, sv = _window(target, resource, q)
-    w = ck ** 2
-    denom = float(np.sum(w * np.abs(sv) ** 2))
-    if denom <= 0.0:
-        raise ImpossibleOutcomeError(f"outcome q = {q} has zero probability")
-    num_vec = w * sv
-    if apply_parity_correction:
-        num_vec = num_vec * _parity_factors(ks, q)
-    return float(abs(np.sum(num_vec)) ** 2 / denom)
+    return f
 
 
 def fidelity_bound(target: CoherentTarget, q: int, N: int) -> float:
@@ -219,12 +237,15 @@ def fidelity_bound(target: CoherentTarget, q: int, N: int) -> float:
 def average_fidelity(target: CoherentTarget, resource: QuasiEprResource,
                      apply_parity_correction: bool = False) -> float:
     """P-weighted mean of F(q) over all reachable outcomes q = 0..N+k_max."""
+    return _mean_fidelity(evaluate_all(target, resource, apply_parity_correction))
+
+
+def _mean_fidelity(outcomes) -> float:
+    """Sum of P(q) F(q) over the reachable rows, accumulated in row order."""
     total = 0.0
-    for q in range(resource.N + target.k_max + 1):
-        p = outcome_probability(target, resource, q)
-        if p <= 0.0:
-            continue
-        total += p * fidelity(target, resource, q, apply_parity_correction)
+    for row in outcomes:
+        if row.fidelity is not None:
+            total += row.probability * row.fidelity
     return total
 
 
@@ -243,8 +264,4 @@ def high_fidelity_region(alpha: float, N: int) -> tuple[int, int] | None:
 def evaluate_outcome(target: CoherentTarget, resource: QuasiEprResource, q: int,
                      apply_parity_correction: bool = False) -> TeleportOutcome:
     """Bundle F(q), its bound, and P(q); unreachable q yields fidelity None."""
-    p = outcome_probability(target, resource, q)
-    bound = fidelity_bound(target, q, resource.N)
-    if p <= 0.0:
-        return TeleportOutcome(q, None, bound, 0.0)
-    return TeleportOutcome(q, fidelity(target, resource, q, apply_parity_correction), bound, p)
+    return next(_evaluate(target, resource, (q,), apply_parity_correction))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fockport import SpinJ, SpinProjection, wigner_d_column
+from fockport import RESOURCE_KINDS, SpinJ, SpinProjection, wigner_d_column
 from fockport.cli import main
 
 SPEC_TEXT = """\
@@ -181,6 +181,43 @@ class TestTeleport:
         assert code == 3
         assert "odd" in err
 
+    @pytest.mark.parametrize("kind,n", [("j0", 4), ("2pt", 5), ("3pt", 4), ("4pt", 5),
+                                        ("ideal", 4), ("relative-phase-input", 4)])
+    def test_every_resource_kind_accepted(self, capsys, kind, n):
+        code, out, _ = run_cli(
+            capsys,
+            ["teleport", "--resource", kind, "--n", str(n), "--beta-deg", "80",
+             "--alpha", "1", "--q", "3"],
+        )
+        assert code == 0
+        assert parse_csv(out)[1][0][0] == "3"
+
+    def test_resource_choices_follow_sweep_kinds(self, capsys):
+        code, _, err = run_cli(
+            capsys, ["teleport", "--resource", "bogus", "--n", "4", "--q", "1"])
+        assert code == 2
+        assert all(kind in err for kind in RESOURCE_KINDS)
+
+    def test_relative_phase_input_needs_beta(self, capsys):
+        code, _, err = run_cli(
+            capsys,
+            ["teleport", "--resource", "relative-phase-input", "--n", "4", "--q", "1"],
+        )
+        assert code == 2
+        assert "--beta-deg" in err
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+    def test_non_finite_alpha_is_domain_error(self, capsys, alpha):
+        code, out, err = run_cli(
+            capsys,
+            ["teleport", "--resource", "j0", "--n", "20", "--beta-deg", "85.5",
+             f"--alpha={alpha}", "--all-q"],
+        )
+        assert code == 3
+        assert out == ""
+        assert "alpha must be finite" in err
+        assert "converge" not in err
+
     def test_q_and_all_q_are_exclusive(self, capsys):
         code, _, _ = run_cli(
             capsys,
@@ -251,6 +288,15 @@ class TestSweep:
         assert code == 2
         assert "unknown spec keys: q" in err
         assert "q_list" in err
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_is_domain_error(self, capsys, tmp_path, alpha):
+        path = tmp_path / "spec.txt"
+        path.write_text(f"resource_kind = j0\nn = 10\nalpha = {alpha}\n")
+        code, out, err = run_cli(capsys, ["sweep", "--spec-file", str(path)])
+        assert code == 3
+        assert out == ""
+        assert "alpha must be finite" in err
 
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "spec.json"

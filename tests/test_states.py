@@ -114,6 +114,11 @@ class TestCoherentTarget:
         with pytest.raises(DomainError):
             coherent_coefficients(-0.5)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        with pytest.raises(DomainError, match="finite"):
+            coherent_coefficients(alpha)
+
     @pytest.mark.parametrize("alpha, k_max", [(1.0, 14), (3.0, 37)])
     def test_frozen_truncation_depth(self, alpha, k_max):
         assert coherent_coefficients(alpha).k_max == k_max

@@ -13,9 +13,13 @@ from fockport import (
     ImpossibleOutcomeError,
     MeasurementOutcome,
     SingleModeState,
+    SpinJ,
+    SpinState,
+    TeleportOutcome,
     average_fidelity,
     beta_q,
     coherent_coefficients,
+    evaluate_all,
     evaluate_outcome,
     fidelity,
     fidelity_bound,
@@ -28,6 +32,7 @@ from fockport import (
     parity_phase_correction,
     post_measurement_state,
     reconstruct,
+    resource_for_kind,
     resource_from_state,
     shifted_phase_operator_note,
 )
@@ -380,3 +385,121 @@ class TestEvaluateOutcome:
         assert outcome.fidelity is None
         assert outcome.probability == 0.0
         assert outcome.bound == 0.0
+
+
+def reference_window(target, resource, q):
+    """Per-k window of the original per-q implementation: (ks, c_k, s_{q-k})."""
+    ks = np.arange(max(0, q - resource.N), q + 1)
+    ck = np.array([target.coefficient(int(k)) for k in ks])
+    return ks, ck, resource.s[q - ks]
+
+
+def reference_outcome(target, resource, q, parity):
+    """(F, bound, P) exactly as the original per-q loop computed them."""
+    k0, hi = max(0, q - resource.N), min(q, target.k_max)
+    bound = float(np.sum(target.weights()[k0:hi + 1])) if hi >= k0 else 0.0
+    if q > resource.N + target.k_max:
+        return None, bound, 0.0
+    ks, ck, sv = reference_window(target, resource, q)
+    w = ck ** 2
+    p = float(np.sum(w * np.abs(sv) ** 2))
+    if p <= 0.0:
+        return None, bound, 0.0
+    num_vec = w * sv
+    if parity:
+        powers = (ks * ks) % 4
+        num_vec = num_vec * (1j ** powers if q % 2 == 0 else (-1j) ** powers)
+    return float(abs(np.sum(num_vec)) ** 2 / p), bound, p
+
+
+# every filter kind at each N in {1, 5, 20, 21, 150} its parity allows
+EXACT_CASES = [("j0", 20, 85.5), ("j0", 150, 85.5), ("j0", 20, 90.0),
+               ("2pt", 1, 80.0), ("2pt", 5, 80.0), ("2pt", 21, 90.0),
+               ("3pt", 20, 85.5), ("3pt", 150, 89.0), ("4pt", 5, 80.0), ("4pt", 21, 85.5),
+               ("ideal", 1, 0.0), ("ideal", 5, 0.0), ("ideal", 20, 0.0),
+               ("ideal", 21, 0.0), ("ideal", 150, 0.0)]
+
+
+@pytest.mark.parametrize("parity", [False, True])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 3.0, 8.0])
+@pytest.mark.parametrize("kind,n,beta_deg", EXACT_CASES)
+class TestExactness:
+    """The one-pass and single-q paths reproduce the per-k window bit for bit."""
+
+    def test_every_outcome_matches_reference(self, kind, n, beta_deg, alpha, parity):
+        resource = resource_for_kind(kind, n, math.radians(beta_deg))
+        target = coherent_coefficients(alpha)
+        rows = evaluate_all(target, resource, parity)
+        assert [row.q for row in rows] == list(range(n + target.k_max + 1))
+        for row in rows:
+            f, bound, p = reference_outcome(target, resource, row.q, parity)
+            assert (row.fidelity, row.bound, row.probability) == (f, bound, p)
+            assert evaluate_outcome(target, resource, row.q, parity) == row
+            assert outcome_probability(target, resource, row.q) == p
+            assert fidelity_bound(target, row.q, n) == bound
+            if f is not None:
+                assert fidelity(target, resource, row.q, parity) == f
+
+    def test_average_is_row_order_sum(self, kind, n, beta_deg, alpha, parity):
+        resource = resource_for_kind(kind, n, math.radians(beta_deg))
+        target = coherent_coefficients(alpha)
+        total = 0.0
+        for q in range(n + target.k_max + 1):
+            f, _, p = reference_outcome(target, resource, q, parity)
+            if f is not None:
+                total += p * f
+        assert average_fidelity(target, resource, parity) == total
+
+
+class TestExactnessCoverage:
+    def test_cases_reach_every_window_shape(self):
+        # windows below the truncation, beyond it, and clipped at N all occur
+        shapes = set()
+        for kind, n, _ in EXACT_CASES:
+            for alpha in (0.0, 0.5, 3.0, 8.0):
+                k_max = coherent_coefficients(alpha).k_max
+                for q in range(n + k_max + 1):
+                    shapes.add((q < k_max, q > k_max, q > n))
+        assert {(True, False, False), (False, True, False), (True, False, True),
+                (False, True, True)} <= shapes
+
+    @pytest.mark.parametrize("parity", [False, True])
+    def test_zero_amplitudes_make_in_range_outcomes_unreachable(self, parity):
+        # s_1 = s_3 = 0, so a vacuum target cannot produce q = 1 or q = 3
+        amps = np.array([1.0, 0.0, 1.0, 0.0, 1.0]) / math.sqrt(3.0)
+        resource = resource_from_state(SpinState(SpinJ(4), amps))
+        target = coherent_coefficients(0.0)
+        rows = evaluate_all(target, resource, parity)
+        assert [row.q for row in rows if row.fidelity is None] == [1, 3]
+        for row in rows:
+            assert (row.fidelity, row.bound, row.probability) == reference_outcome(
+                target, resource, row.q, parity)
+        with pytest.raises(ImpossibleOutcomeError):
+            fidelity(target, resource, 3, parity)
+        assert evaluate_outcome(target, resource, 3, parity) == TeleportOutcome(3, None, 1.0, 0.0)
+
+
+class TestEdgeBehaviour:
+    def test_probability_past_support_and_negative(self, unit_target, small_resource):
+        last = small_resource.N + unit_target.k_max
+        assert outcome_probability(unit_target, small_resource, last + 1) == 0.0
+        assert outcome_probability(unit_target, small_resource, last + 1000) == 0.0
+        with pytest.raises(DomainError):
+            outcome_probability(unit_target, small_resource, -1)
+
+    @pytest.mark.parametrize("q", [-1, 100])
+    def test_fidelity_outside_support_is_impossible(self, unit_target, small_resource, q):
+        with pytest.raises(ImpossibleOutcomeError):
+            fidelity(unit_target, small_resource, q)
+
+    def test_evaluate_outcome_edges(self, unit_target, small_resource):
+        last = small_resource.N + unit_target.k_max
+        assert evaluate_outcome(unit_target, small_resource, last + 1) == TeleportOutcome(
+            last + 1, None, 0.0, 0.0)
+        with pytest.raises(DomainError):
+            evaluate_outcome(unit_target, small_resource, -1)
+
+    def test_evaluate_all_ends_at_last_reachable_q(self, unit_target, small_resource):
+        rows = evaluate_all(unit_target, small_resource)
+        assert rows[-1].q == small_resource.N + unit_target.k_max
+        assert rows[-1].probability > 0.0
