@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 usage error, 3 domain/numeric error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -19,7 +20,6 @@ import numpy as np
 
 from ._version import __version__
 from .errors import DomainError
-from .quasi_epr import make_resource
 from .states import coherent_coefficients
 from .su2 import SpinJ, SpinProjection, SpinState, basis_state, rotate_about_x
 from .sweep import (RESOURCE_KINDS, BetaGrid, SweepResult, SweepSpec,
@@ -89,10 +89,34 @@ def _phase(z: complex) -> float:
     return p
 
 
+def _angle_deg(value: float, name: str) -> float:
+    """A beam-splitter angle given in degrees; must lie in [0, 180]."""
+    if not 0.0 <= value <= 180.0:
+        raise DomainError(f"{name} must lie in [0, 180] degrees, got {value}")
+    return value
+
+
+def _amplitude(entry) -> complex:
+    """One [re, im] entry of a state file as a finite complex number."""
+    if (isinstance(entry, list) and len(entry) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)):
+        try:
+            z = complex(float(entry[0]), float(entry[1]))
+        except OverflowError:  # an integer beyond the float range
+            pass
+        else:
+            if cmath.isfinite(z):
+                return z
+    raise DomainError(f"state file entries must be [re, im] pairs of finite numbers, "
+                      f"got {entry!r}")
+
+
 def _load_state_file(path: str, n_total: int) -> SpinState:
     with open(path) as fh:
         data = json.load(fh)
-    amps = np.array([complex(re, im) for re, im in data])
+    if not isinstance(data, list):
+        raise DomainError("state file must hold a JSON list of [re, im] pairs")
+    amps = np.array([_amplitude(entry) for entry in data], dtype=complex)
     if len(amps) != n_total + 1:
         raise DomainError(f"state file must hold {n_total + 1} amplitude pairs, got {len(amps)}")
     norm = np.linalg.norm(amps)
@@ -107,7 +131,7 @@ def cmd_rotate(args) -> int:
         state = _load_state_file(args.input_state_file, args.n)
     else:
         state = basis_state(j, SpinProjection(args.m))
-    rotated = rotate_about_x(state, math.radians(args.beta_deg))
+    rotated = rotate_about_x(state, math.radians(_angle_deg(args.beta_deg, "--beta-deg")))
     rows = []
     for i, amp in enumerate(rotated.amplitudes):
         m_prime = (2 * i - args.n) / 2.0
@@ -121,6 +145,7 @@ def cmd_teleport(args) -> int:
     beta_deg = args.beta_deg
     if beta_deg is None:
         beta_deg = 90.0  # ignored by the ideal resource
+    _angle_deg(beta_deg, "--beta-deg")
     resource = resource_for_kind(args.resource, args.n, math.radians(beta_deg))
     target = coherent_coefficients(args.alpha)
     if args.all_q:
@@ -160,6 +185,9 @@ def _parse_spec_text(text: str) -> dict:
     return values
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
 _SWEEP_KEYS = ("resource_kind", "n", "beta_start_deg", "beta_stop_deg",
                "beta_step_deg", "alpha", "q_list", "parity_correction")
 
@@ -188,10 +216,14 @@ def _spec_from_mapping(raw: dict) -> SweepSpec:
         q_list = q_raw
     corr = get("parity_correction", False)
     if isinstance(corr, str):
-        corr = corr.lower() in ("1", "true", "yes", "on")
-    grid = BetaGrid(math.radians(float(get("beta_start_deg", 45.0))),
-                    math.radians(float(get("beta_stop_deg", 90.0))),
-                    math.radians(float(get("beta_step_deg", 0.5))))
+        if corr.lower() not in _BOOLEANS:
+            raise ValueError(f"parity_correction: expected one of {', '.join(_BOOLEANS)}, "
+                             f"got {corr!r}")
+        corr = _BOOLEANS[corr.lower()]
+    grid = BetaGrid(
+        math.radians(_angle_deg(float(get("beta_start_deg", 45.0)), "beta_start_deg")),
+        math.radians(_angle_deg(float(get("beta_stop_deg", 90.0)), "beta_stop_deg")),
+        math.radians(float(get("beta_step_deg", 0.5))))
     return SweepSpec(str(kind), int(n), grid, float(get("alpha", 0.0)), q_list, bool(corr))
 
 
@@ -202,10 +234,20 @@ def cmd_sweep(args) -> int:
     return _emit(args, run_sweep(spec))
 
 
+def _precision(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if not 1 <= value <= 17:
+        raise argparse.ArgumentTypeError(f"must be an integer in 1..17, got {text!r}")
+    return value
+
+
 def _add_output_flags(sub):
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--precision", type=int, default=12,
-                     help="significant digits for floating output")
+    sub.add_argument("--precision", type=_precision, default=12,
+                     help="significant digits for floating output, 1..17")
     sub.add_argument("--output", default="-", help="output file, '-' for stdout")
     sub.add_argument("--timestamp", action="store_true",
                      help="add a UTC timestamp to JSON metadata (off for byte-stable output)")
@@ -225,14 +267,14 @@ def build_parser() -> argparse.ArgumentParser:
                      help="doubled spin projection 2m of the input basis state")
     src.add_argument("--input-state-file",
                      help="JSON file with N+1 [re, im] amplitude pairs")
-    rot.add_argument("--beta-deg", type=float, required=True)
+    rot.add_argument("--beta-deg", type=float, required=True, help="angle in [0, 180]")
     _add_output_flags(rot)
     rot.set_defaults(func=cmd_rotate)
 
     tel = subs.add_parser("teleport", help="conditional teleportation fidelity per outcome q")
     tel.add_argument("--resource", choices=RESOURCE_KINDS, required=True)
     tel.add_argument("--n", type=int, required=True, help="resource photon number N")
-    tel.add_argument("--beta-deg", type=float, default=None)
+    tel.add_argument("--beta-deg", type=float, default=None, help="angle in [0, 180]")
     tel.add_argument("--alpha", type=float, default=0.0)
     which = tel.add_mutually_exclusive_group(required=True)
     which.add_argument("--q", type=int)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .su2 import (SpinJ, SpinProjection, SpinState, basis_state, rotate_about_x,
+from .su2 import (SpinJ, SpinProjection, SpinState, basis_state, rotate_about_x_grid,
                   wigner_d_column)
 
 _ZERO_TOL = 1e-12
@@ -124,14 +124,19 @@ def beta_q(N: int) -> float:
     return (math.pi / 2.0) * (1.0 - 1.0 / N)
 
 
+def make_resources(input_state: SpinState, betas) -> list:
+    """make_resource at every angle of a grid, all through one kernel pass."""
+    return [QuasiEprResource(input_state.j.twice_j, rotated.amplitudes.copy())
+            for rotated in rotate_about_x_grid(input_state, betas)]
+
+
 def make_resource(input_state: SpinState, beta: float) -> QuasiEprResource:
     """Rotate a filtered input through the beam splitter; index output by n.
 
     The output amplitude at spin projection m' is reinterpreted as s_n with
     n = j + m' (photon number of the first mode).
     """
-    rotated = rotate_about_x(input_state, beta)
-    return QuasiEprResource(input_state.j.twice_j, rotated.amplitudes.copy())
+    return make_resources(input_state, [beta])[0]
 
 
 def ideal_resource(N: int) -> QuasiEprResource:

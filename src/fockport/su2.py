@@ -5,6 +5,8 @@ representation with j = N/2.  A beam splitter acts as a rotation whose
 matrix elements are Wigner d-functions d^j_{m'm}(beta); this module
 provides exact small-j elements, a stable O(N) column algorithm good to
 twice_j = 20000, and the rotation/phase-shift operators built on them.
+The column algorithm runs every (m, beta) column of a rotation or of an
+angle grid as one lane of a single batched recurrence.
 
 All angular momenta are stored doubled (twice_j, twice_m) so that
 half-integer values are exact integers.
@@ -13,6 +15,7 @@ half-integer values are exact integers.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +28,16 @@ _FLUSH = 1e-300  # amplitudes below this modulus are flushed to exact zero
 # rescaling threshold for the two-sided recurrence working pair
 _BIG = 1e250
 _LOGBIG = math.log(_BIG)
+_TINY = 1.0 / _BIG
+
+# The column kernel advances a batch of lanes, one lane per (twice_m, beta)
+# column of a fixed twice_j.  LANE_BUDGET caps lanes x column length per
+# kernel call.  Below _SCALAR_LANES lanes each lane runs alone in Python
+# floats: one numpy call per step costs more than that until about 16 lanes
+# (measured crossover: 10 lanes at twice_j = 20, 14-16 at 100-20000).
+LANE_BUDGET = 1 << 15
+_SCALAR_LANES = 16
+_GLUE_HALF_WIDTH = 20  # branches are glued within this many entries of the band centre
 
 
 @dataclass(frozen=True)
@@ -181,127 +194,242 @@ def wigner_d_element(j: SpinJ, m_out: SpinProjection, m_in: SpinProjection, beta
     return math.fsum(terms)
 
 
-def _column_recurrence(tj: int, tm: int, beta: float) -> np.ndarray:
-    """Stable d^j_{.,m}(beta) column via the three-term recurrence in m'.
+def _recurrence_batched(A: np.ndarray, B: np.ndarray, seeds: np.ndarray):
+    """Run v[i+1] = (B[i] v[i] - A[i] v[i-1]) / A[i+1] over all lanes at once.
 
-    Runs one pass up from m' = -j and one down from m' = +j, each seeded
-    with the closed-form endpoint value in sign/log-magnitude form, glues
-    the two branches at the classically allowed band centre, and fixes the
-    overall scale with the unit-column-norm constraint.  O(N) time, stable
-    to twice_j = 20000 and beyond.
+    A and B hold one row per lane; A[:, 0] is zero, so the first step is
+    B[0] v[0] - 0.0 as in the scalar loop.  Each lane keeps its own
+    rescaling.  Returns the stored values w (lane, step) and the rescale
+    events [(lanes, step, exponents after it)].
+    """
+    lanes, n = B.shape
+    w = np.empty((lanes, n))
+    w[:, 0] = seeds
+    prev = np.zeros(lanes)
+    cur_e = np.zeros(lanes)
+    tmp = np.empty(lanes)
+    mag = np.empty(lanes)
+    events = []
+    for i in range(n - 1):
+        cur, nxt = w[:, i], w[:, i + 1]
+        np.multiply(B[:, i], cur, out=nxt)
+        np.subtract(nxt, np.multiply(A[:, i], prev, out=tmp), out=nxt)
+        np.divide(nxt, A[:, i + 1], out=nxt)
+        prev = cur
+        np.abs(nxt, out=mag)
+        if np.maximum.reduce(mag) <= _BIG and np.minimum.reduce(mag) >= _TINY:
+            continue
+        big = mag > _BIG
+        small = (mag != 0.0) & (mag < _TINY)
+        if not (big.any() or small.any()):
+            continue
+        nxt[big] /= _BIG
+        cur[big] /= _BIG
+        nxt[small] *= _BIG
+        cur[small] *= _BIG
+        cur_e = cur_e.copy()
+        cur_e[big] += _LOGBIG
+        cur_e[small] -= _LOGBIG
+        events.append((slice(None), i, cur_e[:, None]))
+    return w, events
+
+
+def _recurrence_scalar(A, B, seed: float):
+    """One lane of _recurrence_batched in Python floats; same operations, same order."""
+    w = array("d", [seed])
+    events = []
+    prev, cur, cur_e = 0.0, seed, 0.0
+    for a_prev, a, b in zip(A, A[1:], B):
+        nxt = (b * cur - a_prev * prev) / a
+        mag = abs(nxt)
+        if mag > _BIG:
+            nxt /= _BIG
+            cur /= _BIG
+            cur_e += _LOGBIG
+            w[-1] = cur
+            events.append((len(w) - 1, cur_e))
+        elif mag != 0.0 and mag < _TINY:
+            nxt *= _BIG
+            cur *= _BIG
+            cur_e -= _LOGBIG
+            w[-1] = cur
+            events.append((len(w) - 1, cur_e))
+        w.append(nxt)
+        prev, cur = cur, nxt
+    return w, events
+
+
+def _recurrence(A: np.ndarray, B: np.ndarray, seeds: np.ndarray):
+    """Every lane through the batched kernel, or one by one when lanes are few."""
+    if len(seeds) >= _SCALAR_LANES:
+        return _recurrence_batched(A, B, seeds)
+    w = np.empty(B.shape)
+    events = []
+    for lane, seed in enumerate(seeds.tolist()):
+        values, lane_events = _recurrence_scalar(memoryview(A[lane]), memoryview(B[lane]), seed)
+        w[lane] = np.frombuffer(values)
+        events += [(lane, i, cur_e) for i, cur_e in lane_events]
+    return w, events
+
+
+def _glue(sgn: np.ndarray, logmag: np.ndarray, centre: np.ndarray) -> np.ndarray:
+    """Join each lane's up and down branch, fix the unit norm, flush tiny values.
+
+    Rows [0, L) of sgn and logmag hold the up branches, rows [L, 2L) the
+    down branches in reversed order; both are overwritten.  The branches
+    meet at the largest joint magnitude within _GLUE_HALF_WIDTH entries of
+    the lane's band centre.
+    """
+    lanes = len(centre)
+    n = sgn.shape[1]
+    su, lu = sgn[:lanes], logmag[:lanes]
+    sd, ld = sgn[lanes:, ::-1], logmag[lanes:, ::-1]
+    lane = np.arange(lanes)
+    offsets = np.arange(-_GLUE_HALF_WIDTH, _GLUE_HALF_WIDTH + 1)
+    window = np.minimum(np.maximum(centre[:, None] + offsets, 0), n - 1)
+    joint = lu[lane[:, None], window]
+    joint += ld[lane[:, None], window]
+    p = window[lane, np.argmax(joint, axis=1)]
+    ld += (lu[lane, p] - ld[lane, p])[:, None]
+    sd *= (su[lane, p] * sd[lane, p])[:, None]
+    upper = np.arange(n) > p[:, None]
+    np.copyto(lu, ld, where=upper)
+    np.copyto(su, sd, where=upper)
+    peak = lu.max(axis=1)
+    out = lu - peak[:, None]
+    out *= 2.0
+    sums = np.exp(out, out=out).sum(axis=1)
+    lognorm = peak + 0.5 * np.array([math.log(s) for s in sums.tolist()])
+    np.subtract(lu, lognorm[:, None], out=out)
+    np.exp(out, out=out)
+    np.multiply(su, out, out=out)
+    out[np.abs(out) < _FLUSH] = 0.0
+    return out
+
+
+def _recurrence_columns(tj: int, tms: np.ndarray, betas) -> np.ndarray:
+    """Stable d^j_{.,m}(beta) columns, one lane per (beta, m) pair, beta-major.
+
+    Each lane runs the three-term recurrence in m' up from m' = -j and down
+    from m' = +j, each seeded with the closed-form endpoint sign, glues the
+    two branches at the classically allowed band centre m' ~ m cos(beta),
+    and fixes the overall scale with the unit-column-norm constraint.  Both
+    directions are lanes of one recurrence: the down branch runs on reversed
+    coefficients.  Returns (lane, m') values; O(N) work per lane, stable to
+    twice_j = 20000 and beyond.
     """
     n = tj + 1
     j = tj / 2.0
+    lanes = len(betas) * len(tms)
+    trig = np.array([(math.sin(b), math.cos(b), math.cos(b / 2.0), math.sin(b / 2.0))
+                     for b in betas])
+    sb, cb, ch, sh = np.repeat(trig, len(tms), axis=0).T
+    tm = np.tile(tms, len(betas))
     m = tm / 2.0
-    sb = math.sin(beta)
-    cb = math.cos(beta)
     mp = np.arange(n, dtype=float) - j
-    # recurrence: A[i] v[i+1] = B[i] v[i] - A[i-1] v[i-1]
-    A = sb * np.sqrt((j - mp[:-1]) * (j + mp[:-1] + 1.0))
-    B = 2.0 * (m - mp * cb)
 
-    ch = math.cos(beta / 2.0)
-    sh = math.sin(beta / 2.0)
-    sgn_ch = 1.0 if ch >= 0 else -1.0
-    sgn_sh = 1.0 if sh >= 0 else -1.0
+    # recurrence: A[i] v[i+1] = B[i] v[i] - A[i-1] v[i-1], one row per lane.
+    # Rows [0, L) run up from m' = -j; rows [L, 2L) run down from m' = +j on
+    # the reversed coefficients.  Column 0 of A is the zero before v[0].
+    A = np.zeros((2 * lanes, n))
+    A[:lanes, 1:] = sb[:, None] * np.sqrt((j - mp[:-1]) * (j + mp[:-1] + 1.0))
+    A[lanes:, 1:] = A[:lanes, :0:-1]
+    B = np.empty((2 * lanes, n))
+    B[:lanes] = 2.0 * (m[:, None] - mp * cb[:, None])
+    B[lanes:] = B[:lanes, ::-1]
+
     # endpoint signs of d_{-j,m} = C ch^{j-m} sh^{j+m} and
     # d_{+j,m} = (-1)^{j-m} C ch^{j+m} sh^{j-m}, C > 0
-    sgn_bot = sgn_ch ** ((tj - tm) // 2) * sgn_sh ** ((tj + tm) // 2)
-    sgn_top = ((-1.0) ** ((tj - tm) // 2)
-               * sgn_ch ** ((tj + tm) // 2) * sgn_sh ** ((tj - tm) // 2))
+    odd_lo = (tj - tm) // 2 % 2 == 1
+    odd_hi = (tj + tm) // 2 % 2 == 1
+    sgn_ch = np.where(ch >= 0, 1.0, -1.0)
+    sgn_sh = np.where(sh >= 0, 1.0, -1.0)
+    sgn_bot = np.where(odd_lo, sgn_ch, 1.0) * np.where(odd_hi, sgn_sh, 1.0)
+    sgn_top = (np.where(odd_lo, -1.0, 1.0) * np.where(odd_hi, sgn_ch, 1.0)
+               * np.where(odd_lo, sgn_sh, 1.0))
 
-    # upward pass from m' = -j
-    w_u = np.empty(n)
-    e_u = np.empty(n)
-    w_u[0] = sgn_bot
-    e_u[0] = 0.0
-    prev, cur, cur_e = 0.0, sgn_bot, 0.0
-    for i in range(n - 1):
-        nxt = (B[i] * cur - (A[i - 1] * prev if i > 0 else 0.0)) / A[i]
-        mag = abs(nxt)
-        if mag > _BIG:
-            nxt /= _BIG
-            cur /= _BIG
-            cur_e += _LOGBIG
-            w_u[i] = cur
-            e_u[i] = cur_e
-        elif mag != 0.0 and mag < 1.0 / _BIG:
-            nxt *= _BIG
-            cur *= _BIG
-            cur_e -= _LOGBIG
-            w_u[i] = cur
-            e_u[i] = cur_e
-        w_u[i + 1] = nxt
-        e_u[i + 1] = cur_e
-        prev, cur = cur, nxt
-
-    # downward pass from m' = +j
-    w_d = np.empty(n)
-    e_d = np.empty(n)
-    w_d[n - 1] = sgn_top
-    e_d[n - 1] = 0.0
-    prev, cur, cur_e = 0.0, sgn_top, 0.0
-    for i in range(n - 1, 0, -1):
-        nxt = (B[i] * cur - (A[i] * prev if i < n - 1 else 0.0)) / A[i - 1]
-        mag = abs(nxt)
-        if mag > _BIG:
-            nxt /= _BIG
-            cur /= _BIG
-            cur_e += _LOGBIG
-            w_d[i] = cur
-            e_d[i] = cur_e
-        elif mag != 0.0 and mag < 1.0 / _BIG:
-            nxt *= _BIG
-            cur *= _BIG
-            cur_e -= _LOGBIG
-            w_d[i] = cur
-            e_d[i] = cur_e
-        w_d[i - 1] = nxt
-        e_d[i - 1] = cur_e
-        prev, cur = cur, nxt
-
+    w, events = _recurrence(A, B, np.concatenate([sgn_bot, sgn_top]))
+    del A, B  # free the coefficients before the glue allocates
+    # sign/log-magnitude form; entry i carries the exponent after step i
+    logmag = np.abs(w)
     with np.errstate(divide="ignore"):
-        lu = np.log(np.abs(w_u), out=np.full(n, -np.inf), where=(w_u != 0)) + e_u
-        ld = np.log(np.abs(w_d), out=np.full(n, -np.inf), where=(w_d != 0)) + e_d
+        np.log(logmag, out=logmag)
+    if events:
+        e = np.zeros(w.shape)
+        for rows, i, cur_e in events:
+            e[rows, i:] = cur_e
+        logmag += e
+        del e
+    centre = np.minimum(np.maximum(np.rint(j + m * cb), 0), n - 1).astype(np.intp)
+    return _glue(np.sign(w, out=w), logmag, centre)
 
-    # glue the branches at the centre of the classically allowed band
-    # m' ~ m cos(beta), refined within a small window by joint magnitude
-    centre = int(round(j + m * cb))
-    centre = min(max(centre, 0), n - 1)
-    lo = max(0, centre - 20)
-    hi = min(n - 1, centre + 20)
-    window = np.arange(lo, hi + 1)
-    p = int(window[np.argmax(lu[window] + ld[window])])
 
-    offset = lu[p] - ld[p]
-    sign_match = np.sign(w_u[p]) * np.sign(w_d[p])
-    llog = np.concatenate([lu[: p + 1], ld[p + 1:] + offset])
-    sgn = np.concatenate([np.sign(w_u[: p + 1]), np.sign(w_d[p + 1:]) * sign_match])
-    peak = llog.max()
-    lognorm = peak + 0.5 * math.log(float(np.exp(2.0 * (llog - peak)).sum()))
-    out = sgn * np.exp(llog - lognorm)
-    out[np.abs(out) < _FLUSH] = 0.0
+def _check_angles(betas) -> list:
+    """Angles as floats; any finite beta is accepted, NaN and infinities are not."""
+    betas = [float(b) for b in betas]
+    for beta in betas:
+        if not math.isfinite(beta):
+            raise DomainError(f"beta must be finite, got {beta}")
+    return betas
+
+
+def _columns(tj: int, tms, betas) -> np.ndarray:
+    """d^j_{m',m}(beta) for every beta and m: array indexed [beta, m, m']."""
+    tms = np.asarray(tms, dtype=np.int64)
+    shape = (len(betas), len(tms), tj + 1)
+    if tj == 0:
+        return np.ones(shape)
+    turning = [b for b, beta in enumerate(betas) if math.sin(beta) != 0.0]
+    if len(turning) == len(betas):
+        return _recurrence_columns(tj, tms, betas).reshape(shape)
+    out = np.zeros(shape)
+    if turning:
+        cols = _recurrence_columns(tj, tms, [betas[b] for b in turning])
+        out[turning] = cols.reshape((len(turning),) + shape[1:])
+    rows = np.arange(len(tms))
+    for b, beta in enumerate(betas):
+        if math.sin(beta) != 0.0:
+            continue
+        if math.cos(beta) > 0.0:
+            # beta = 0 mod 2pi; full winding contributes (-1)^{2j k}
+            k = round(beta / (2.0 * math.pi))
+            out[b, rows, (tj + tms) // 2] = (-1.0) ** (tj * k)
+        else:
+            # beta = pi mod 2pi: m -> -m with phase (-1)^{j-m}
+            k = round((beta - math.pi) / (2.0 * math.pi))
+            out[b, rows, (tj - tms) // 2] = (np.where((tj - tms) // 2 % 2 == 1, -1.0, 1.0)
+                                              * (-1.0) ** (tj * k))
     return out
+
+
+def _column_blocks(tj: int, tms: np.ndarray, betas: list):
+    """Yield (beta slice, m slice, columns) covering every (beta, m) pair in order.
+
+    A block is a run of whole betas when one beta's columns fit in
+    LANE_BUDGET lane-elements, else a run of m values at one beta, so the
+    kernel's working set stays bounded whatever the grid.  A lane costs its
+    column length, or the glue window when that is longer.
+    """
+    n = max(tj + 1, 2 * _GLUE_HALF_WIDTH + 1)
+    per_beta = len(tms) * n
+    if per_beta <= LANE_BUDGET:
+        step = LANE_BUDGET // per_beta
+        for lo in range(0, len(betas), step):
+            hi = min(lo + step, len(betas))
+            yield slice(lo, hi), slice(0, len(tms)), _columns(tj, tms, betas[lo:hi])
+        return
+    step = max(1, LANE_BUDGET // n)
+    for b in range(len(betas)):
+        for lo in range(0, len(tms), step):
+            hi = min(lo + step, len(tms))
+            yield slice(b, b + 1), slice(lo, hi), _columns(tj, tms[lo:hi], betas[b:b + 1])
 
 
 def wigner_d_column(j: SpinJ, m_in: SpinProjection, beta: float) -> WignerColumn:
     """Full column d^j_{m',m_in}(beta) over m' = -j..j, stable at large j."""
     _check_projection(j, m_in, "m_in")
-    tj, tm = j.twice_j, m_in.twice_m
-    if tj == 0:
-        return WignerColumn(j, m_in, beta, np.array([1.0]))
-    if math.sin(beta) == 0.0:
-        values = np.zeros(j.dim)
-        if math.cos(beta) > 0.0:
-            # beta = 0 mod 2pi; full winding contributes (-1)^{2j k}
-            k = round(beta / (2.0 * math.pi))
-            values[(tj + tm) // 2] = (-1.0) ** (tj * k)
-        else:
-            # beta = pi mod 2pi: m -> -m with phase (-1)^{j-m}
-            k = round((beta - math.pi) / (2.0 * math.pi))
-            values[(tj - tm) // 2] = (-1.0) ** ((tj - tm) // 2) * (-1.0) ** (tj * k)
-        return WignerColumn(j, m_in, beta, values)
-    return WignerColumn(j, m_in, beta, _column_recurrence(tj, tm, beta))
+    (beta,) = _check_angles([beta])
+    return WignerColumn(j, m_in, beta, _columns(j.twice_j, [m_in.twice_m], [beta])[0, 0])
 
 
 def brute_force_rotation(j: SpinJ, beta: float) -> np.ndarray:
@@ -326,23 +454,25 @@ def brute_force_rotation(j: SpinJ, beta: float) -> np.ndarray:
     return (evecs * np.exp(1j * beta * evals)) @ evecs.T
 
 
+def rotate_about_x_grid(state: SpinState, betas) -> list:
+    """rotate_about_x at every angle of a grid, all columns through one kernel."""
+    betas = _check_angles(betas)
+    j = state.j
+    tms = state.twice_m_values()
+    nonzero = np.flatnonzero(state.amplitudes != 0.0)
+    out = np.zeros((len(betas), j.dim), dtype=complex)
+    for b, ms, cols in _column_blocks(j.twice_j, tms[nonzero], betas):
+        for col, i in zip(cols.transpose(1, 0, 2), nonzero[ms]):
+            # i^{m-m'} = e^{i pi (m-m')/2}; m-m' is an integer so this is exact
+            k = (tms[i] - tms) // 2
+            out[b] += state.amplitudes[i] * (1j ** np.mod(k, 4)) * col
+    out[np.abs(out) < _FLUSH] = 0.0
+    return [SpinState(j, row / np.linalg.norm(row)) for row in out]
+
+
 def rotate_about_x(state: SpinState, beta: float) -> SpinState:
     """Beam-splitter rotation: out[m'] = sum_m i^{m-m'} d^j_{m'm}(beta) in[m]."""
-    j = state.j
-    n = j.dim
-    out = np.zeros(n, dtype=complex)
-    tms = state.twice_m_values()
-    for i, amp in enumerate(state.amplitudes):
-        if amp == 0.0:
-            continue
-        tm = int(tms[i])
-        col = wigner_d_column(j, SpinProjection(tm), beta).values
-        # i^{m-m'} = e^{i pi (m-m')/2}; m-m' is an integer so this is exact
-        k = (tm - tms) // 2
-        out += amp * (1j ** np.mod(k, 4)) * col
-    out[np.abs(out) < _FLUSH] = 0.0
-    norm = np.linalg.norm(out)
-    return SpinState(j, out / norm)
+    return rotate_about_x_grid(state, [beta])[0]
 
 
 def phase_shift(state: SpinState, theta: float) -> SpinState:

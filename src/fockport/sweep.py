@@ -1,30 +1,32 @@
 """Deterministic grid sweeps over (beta, q) and canned figure datasets.
 
-Grid points are independent and may be computed on a thread pool (size
-capped by the FOCKPORT_THREADS environment variable), but rows are always
-emitted in canonical (beta ascending, q ascending) order and the numbers
-are bitwise-independent of the execution schedule.
+All angles of a grid go through the column kernel together (a block of
+angles at a time, so memory stays bounded); rows are emitted in canonical
+(beta ascending, q ascending) order.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
 
 from ._version import __version__
-from .errors import DomainError
+from .errors import DomainError, SizeCapError
 from .quasi_epr import (FilterOrder, beta_q, filtered_input, ideal_resource,
-                        make_resource, phase_distribution, quality)
+                        make_resources, phase_distribution, quality)
 from .states import (RelativePhaseSpec, coherent_coefficients,
                      relative_phase_state)
+from .su2 import LANE_BUDGET
 from .teleport import evaluate_all, evaluate_outcome, fidelity, high_fidelity_region
 
 _DEFAULT_STEP = math.radians(0.5)
+
+# Largest beta grid a sweep or angle search may build: a 0.01 degree step
+# across the whole [0, 180] degree range.
+MAX_GRID_POINTS = 18001
 
 RESOURCE_KINDS = ("j0", "2pt", "3pt", "4pt", "ideal", "relative-phase-input")
 
@@ -43,8 +45,10 @@ class BetaGrid:
     def values(self) -> np.ndarray:
         if self.step <= 0.0 or self.stop < self.start:
             return np.array([])
-        count = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
-        return self.start + self.step * np.arange(count)
+        points = (self.stop - self.start) / self.step + 1e-9
+        if not points < MAX_GRID_POINTS:
+            raise SizeCapError(f"beta grid exceeds {MAX_GRID_POINTS} points")
+        return self.start + self.step * np.arange(int(math.floor(points)) + 1)
 
 
 @dataclass(frozen=True)
@@ -67,9 +71,12 @@ class SweepSpec:
         elif self.resource_kind in _KIND_LEVEL and self.N % 2 != _KIND_LEVEL[self.resource_kind] % 2:
             need = "odd" if _KIND_LEVEL[self.resource_kind] % 2 else "even"
             errors.append(f"N: resource {self.resource_kind!r} requires {need} N, got {self.N}")
-        if self.beta_grid.step <= 0.0:
-            errors.append(f"beta_grid: step must be > 0, got {self.beta_grid.step}")
-        elif len(self.beta_grid.values()) == 0:
+        grid = self.beta_grid
+        if not all(math.isfinite(v) for v in (grid.start, grid.stop, grid.step)):
+            errors.append("beta_grid: start, stop and step must be finite")
+        elif grid.step <= 0.0:
+            errors.append(f"beta_grid: step must be > 0, got {grid.step}")
+        elif len(grid.values()) == 0:
             errors.append("beta_grid: empty grid")
         if self.alpha < 0:
             errors.append(f"alpha: must be >= 0, got {self.alpha}")
@@ -106,28 +113,31 @@ class SweepResult:
     meta: dict
 
 
-def _worker_count() -> int:
-    env = os.environ.get("FOCKPORT_THREADS", "").strip()
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise DomainError(f"FOCKPORT_THREADS must be an integer, got {env!r}")
-        if n < 1:
-            raise DomainError(f"FOCKPORT_THREADS must be >= 1, got {n}")
-        return n
-    return min(os.cpu_count() or 1, 8)
+def resources_for_kind(kind: str, N: int, betas) -> list:
+    """The resources behind a sweep kind at every angle of a grid.
+
+    The input state is built once and every angle is rotated in one kernel
+    pass.
+    """
+    if kind == "ideal":
+        return [ideal_resource(N) for _ in betas]
+    if kind == "relative-phase-input":
+        return make_resources(relative_phase_state(RelativePhaseSpec(N, 0)), betas)
+    if kind in _KIND_LEVEL:
+        return make_resources(filtered_input(N, FilterOrder(_KIND_LEVEL[kind])), betas)
+    raise DomainError(f"unknown resource kind {kind!r}")
 
 
 def resource_for_kind(kind: str, N: int, beta: float):
     """Build the resource behind a sweep kind at one grid point."""
-    if kind == "ideal":
-        return ideal_resource(N)
-    if kind == "relative-phase-input":
-        return make_resource(relative_phase_state(RelativePhaseSpec(N, 0)), beta)
-    if kind in _KIND_LEVEL:
-        return make_resource(filtered_input(N, FilterOrder(_KIND_LEVEL[kind])), beta)
-    raise DomainError(f"unknown resource kind {kind!r}")
+    return resources_for_kind(kind, N, [beta])[0]
+
+
+def _grid_resources(kind: str, N: int, betas):
+    """resources_for_kind over a grid, a block of angles at a time to bound memory."""
+    block = max(1, LANE_BUDGET // (N + 1))
+    for lo in range(0, len(betas), block):
+        yield from resources_for_kind(kind, N, betas[lo:lo + block])
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -142,23 +152,14 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     target = coherent_coefficients(spec.alpha)
     qs = None if spec.q_list == "all" else [int(q) for q in spec.q_list]
     betas = spec.beta_grid.values()
-
-    def point(beta: float):
-        resource = resource_for_kind(spec.resource_kind, spec.N, float(beta))
+    rows = []
+    for beta, resource in zip(betas, _grid_resources(spec.resource_kind, spec.N, betas)):
         rep = quality(resource)
         outcomes = (evaluate_all(target, resource, spec.parity_correction) if qs is None else
                     [evaluate_outcome(target, resource, q, spec.parity_correction) for q in qs])
-        return [(math.degrees(beta), res.q, res.fidelity, res.bound, res.probability,
-                 rep.min_modulus, rep.zero_count, rep.flatness, rep.entropy)
-                for res in outcomes]
-
-    workers = _worker_count()
-    if workers == 1 or len(betas) == 1:
-        chunks = [point(b) for b in betas]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(point, betas))
-    rows = [row for chunk in chunks for row in chunk]
+        rows.extend((math.degrees(beta), res.q, res.fidelity, res.bound, res.probability,
+                     rep.min_modulus, rep.zero_count, rep.flatness, rep.entropy)
+                    for res in outcomes)
     columns = ("beta_deg", "q", "fidelity", "bound", "probability",
                "min_modulus", "zero_count", "flatness", "entropy")
     meta = {"kind": "sweep", "spec": spec.echo(), "version": __version__}
@@ -179,6 +180,10 @@ def find_beta_q_numeric(N: int, resource_kind: str = "j0",
     """
     if objective not in ("min_modulus", "entropy", "min_fidelity_target"):
         raise DomainError(f"unknown objective {objective!r}")
+    if not step > 0.0:
+        raise DomainError(f"step must be > 0, got {step}")
+    if not (math.pi / 2) / step < MAX_GRID_POINTS:
+        raise SizeCapError(f"beta grid exceeds {MAX_GRID_POINTS} points")
     betas = step * np.arange(1, int(round((math.pi / 2) / step)) + 1)
     if objective == "min_fidelity_target":
         target = coherent_coefficients(1.0)
@@ -188,8 +193,7 @@ def find_beta_q_numeric(N: int, resource_kind: str = "j0",
         q_lo, q_hi = region
 
     scores = np.empty(len(betas))
-    for i, beta in enumerate(betas):
-        resource = resource_for_kind(resource_kind, N, float(beta))
+    for i, resource in enumerate(_grid_resources(resource_kind, N, betas)):
         if objective == "min_modulus":
             scores[i] = quality(resource).min_modulus
         elif objective == "entropy":
@@ -202,8 +206,7 @@ def find_beta_q_numeric(N: int, resource_kind: str = "j0",
 
 def _modulus_rows(kind: str, N: int, betas, with_phase: bool = False):
     rows = []
-    for beta in betas:
-        resource = resource_for_kind(kind, N, float(beta))
+    for beta, resource in zip(betas, _grid_resources(kind, N, betas)):
         mods = np.abs(resource.s)
         if with_phase:
             phases = phase_distribution(resource)
@@ -212,6 +215,24 @@ def _modulus_rows(kind: str, N: int, betas, with_phase: bool = False):
         else:
             rows.extend((math.degrees(beta), n, float(mods[n])) for n in range(N + 1))
     return rows
+
+
+_QUARTER_TURN = BetaGrid(0.0, math.pi / 2).values()
+_UPPER_HALF = BetaGrid(math.pi / 4, math.pi / 2)
+
+# figure id -> (resource kind, N, angles, with phases); rows are moduli vs beta
+_MODULUS_FIGURES = {
+    1: ("relative-phase-input", 20, _QUARTER_TURN, False),
+    2: ("j0", 20, _QUARTER_TURN, False),
+    3: ("j0", 20, (math.radians(85.5), math.radians(90.0)), True),
+    5: ("2pt", 21, _QUARTER_TURN, False),
+}
+# figure id -> sweep whose first five columns are the dataset
+_SWEEP_FIGURES = {
+    6: SweepSpec("2pt", 21, _UPPER_HALF, alpha=3.0),
+    7: SweepSpec("j0", 20, _UPPER_HALF, alpha=3.0, q_list=(19,), parity_correction=True),
+}
+_LARGE_N = (200, 2000, 20000)  # figure 4, each at beta_q(N)
 
 
 def figure_dataset(figure_id: int) -> SweepResult:
@@ -226,58 +247,25 @@ def figure_dataset(figure_id: int) -> SweepResult:
     7: fidelity/bound/probability vs beta at q=19, level-0, N=20, alpha=3,
        parity correction on.
     """
-    step = _DEFAULT_STEP
-    if figure_id == 1:
-        betas = BetaGrid(0.0, math.pi / 2, step).values()
-        rows = _modulus_rows("relative-phase-input", 20, betas)
-        return SweepResult(("beta_deg", "n", "modulus"), rows,
-                           {"kind": "figure", "figure": 1, "resource_kind": "relative-phase-input",
-                            "N": 20, "version": __version__})
-    if figure_id == 2:
-        betas = BetaGrid(0.0, math.pi / 2, step).values()
-        rows = _modulus_rows("j0", 20, betas)
-        return SweepResult(("beta_deg", "n", "modulus"), rows,
-                           {"kind": "figure", "figure": 2, "resource_kind": "j0",
-                            "N": 20, "version": __version__})
-    if figure_id == 3:
-        betas = [math.radians(85.5), math.radians(90.0)]
-        rows = _modulus_rows("j0", 20, betas, with_phase=True)
-        return SweepResult(("beta_deg", "n", "modulus", "phase"), rows,
-                           {"kind": "figure", "figure": 3, "resource_kind": "j0",
-                            "N": 20, "version": __version__})
-    if figure_id == 4:
-        rows = []
-        for N in (200, 2000, 20000):
-            b = beta_q(N)
-            resource = resource_for_kind("j0", N, b)
-            mods = np.abs(resource.s)
-            rows.extend((N, math.degrees(b), n, float(mods[n])) for n in range(N + 1))
-        return SweepResult(("N", "beta_deg", "n", "modulus"), rows,
-                           {"kind": "figure", "figure": 4, "resource_kind": "j0",
-                            "version": __version__})
-    if figure_id == 5:
-        betas = BetaGrid(0.0, math.pi / 2, step).values()
-        rows = _modulus_rows("2pt", 21, betas)
-        return SweepResult(("beta_deg", "n", "modulus"), rows,
-                           {"kind": "figure", "figure": 5, "resource_kind": "2pt",
-                            "N": 21, "version": __version__})
-    if figure_id == 6:
-        spec = SweepSpec("2pt", 21, BetaGrid(math.pi / 4, math.pi / 2, step), alpha=3.0,
-                         q_list="all", parity_correction=False)
-        inner = run_sweep(spec)
-        rows = [row[:5] for row in inner.rows]
-        return SweepResult(("beta_deg", "q", "fidelity", "bound", "probability"), rows,
-                           {"kind": "figure", "figure": 6, "spec": spec.echo(),
-                            "version": __version__})
-    if figure_id == 7:
-        spec = SweepSpec("j0", 20, BetaGrid(math.pi / 4, math.pi / 2, step), alpha=3.0,
-                         q_list=[19], parity_correction=True)
-        inner = run_sweep(spec)
-        rows = [row[:5] for row in inner.rows]
-        return SweepResult(("beta_deg", "q", "fidelity", "bound", "probability"), rows,
-                           {"kind": "figure", "figure": 7, "spec": spec.echo(),
-                            "version": __version__})
-    raise DomainError(f"unknown figure id {figure_id}")
+    meta = {"kind": "figure", "figure": figure_id}
+    if figure_id in _MODULUS_FIGURES:
+        kind, N, betas, with_phase = _MODULUS_FIGURES[figure_id]
+        columns = ("beta_deg", "n", "modulus") + (("phase",) if with_phase else ())
+        meta.update(resource_kind=kind, N=N)
+        rows = _modulus_rows(kind, N, betas, with_phase)
+    elif figure_id == 4:
+        columns = ("N", "beta_deg", "n", "modulus")
+        meta.update(resource_kind="j0")
+        rows = [(N,) + row for N in _LARGE_N for row in _modulus_rows("j0", N, [beta_q(N)])]
+    elif figure_id in _SWEEP_FIGURES:
+        spec = _SWEEP_FIGURES[figure_id]
+        columns = ("beta_deg", "q", "fidelity", "bound", "probability")
+        meta.update(spec=spec.echo())
+        rows = [row[:5] for row in run_sweep(spec).rows]
+    else:
+        raise DomainError(f"unknown figure id {figure_id}")
+    meta.update(version=__version__)
+    return SweepResult(columns, rows, meta)
 
 
 def stamp(result: SweepResult) -> SweepResult:

@@ -89,6 +89,50 @@ class TestRotate:
         assert code == 3
         assert "amplitude pairs" in err
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            '[[1, "a"], [0, 0], [0, 0]]',      # non-numeric value
+            '[[1, 0], [0], [0, 0]]',           # not a pair
+            '[[1, 0, 0], [0, 0], [0, 0]]',
+            '[1, 0, 0]',                       # bare numbers
+            '[[true, 0], [0, 0], [0, 0]]',     # booleans are not numbers
+            '[[null, 0], [0, 0], [0, 0]]',
+            '[[NaN, 0], [0, 0], [0, 0]]',      # non-finite values
+            '[[1, Infinity], [0, 0], [0, 0]]',
+            '[[1e999, 0], [0, 0], [0, 0]]',
+            '[[1%s, 0], [0, 0], [0, 0]]' % ("0" * 400),  # integer beyond the float range
+            '{"re": [1, 0, 0]}',               # not a list
+        ],
+    )
+    def test_malformed_state_file_is_domain_error(self, capsys, tmp_path, content):
+        path = tmp_path / "state.json"
+        path.write_text(content)
+        code, out, err = run_cli(
+            capsys,
+            ["rotate", "--n", "2", "--input-state-file", str(path), "--beta-deg", "45"],
+        )
+        assert code == 3
+        assert out == ""
+        assert "state file" in err
+
+    @pytest.mark.parametrize("beta", ["nan", "inf", "-inf", "-0.5", "180.5", "400"])
+    def test_beta_outside_half_turn_is_domain_error(self, capsys, beta):
+        code, out, err = run_cli(
+            capsys, ["rotate", "--n", "4", "--m", "0", f"--beta-deg={beta}"]
+        )
+        assert code == 3
+        assert out == ""
+        assert "[0, 180]" in err
+
+    @pytest.mark.parametrize("beta", ["0", "180"])
+    def test_half_turn_endpoints_accepted(self, capsys, beta):
+        code, out, _ = run_cli(capsys, ["rotate", "--n", "4", "--m", "2", "--beta-deg", beta])
+        assert code == 0
+        moduli = [float(row[3]) for row in parse_csv(out)[1]]
+        want = [0, 0, 0, 1, 0] if beta == "0" else [0, 1, 0, 0, 0]
+        assert moduli == pytest.approx(want, abs=1e-12)
+
     def test_m_and_file_are_exclusive(self, capsys, tmp_path):
         path = tmp_path / "state.json"
         path.write_text("[]")
@@ -218,6 +262,17 @@ class TestTeleport:
         assert "alpha must be finite" in err
         assert "converge" not in err
 
+    @pytest.mark.parametrize("resource", ["j0", "ideal"])
+    @pytest.mark.parametrize("beta", ["nan", "400", "-1"])
+    def test_beta_outside_half_turn_is_domain_error(self, capsys, resource, beta):
+        code, out, err = run_cli(
+            capsys,
+            ["teleport", "--resource", resource, "--n", "4", f"--beta-deg={beta}", "--q", "2"],
+        )
+        assert code == 3
+        assert out == ""
+        assert "[0, 180]" in err
+
     def test_q_and_all_q_are_exclusive(self, capsys):
         code, _, _ = run_cli(
             capsys,
@@ -298,6 +353,42 @@ class TestSweep:
         assert out == ""
         assert "alpha must be finite" in err
 
+    @pytest.mark.parametrize(
+        "line, needle",
+        [
+            ("beta_start_deg = -5", "beta_start_deg"),
+            ("beta_start_deg = nan", "beta_start_deg"),
+            ("beta_stop_deg = 200", "beta_stop_deg"),
+            ("beta_stop_deg = inf", "beta_stop_deg"),
+            ("beta_step_deg = 1e-7", "exceeds"),
+            ("beta_step_deg = 1e-320", "exceeds"),
+        ],
+    )
+    def test_out_of_range_grid_is_domain_error(self, capsys, tmp_path, line, needle):
+        path = tmp_path / "spec.txt"
+        path.write_text(f"resource_kind = j0\nn = 10\n{line}\n")
+        code, out, err = run_cli(capsys, ["sweep", "--spec-file", str(path)])
+        assert code == 3
+        assert out == ""
+        assert needle in err
+
+    def test_unknown_boolean_spelling_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "spec.txt"
+        path.write_text("resource_kind = j0\nn = 10\nparity_correction = ture\n")
+        code, out, err = run_cli(capsys, ["sweep", "--spec-file", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "parity_correction" in err
+
+    @pytest.mark.parametrize("spelling, value", [("TRUE", True), ("on", True), ("1", True),
+                                                 ("no", False), ("Off", False), ("0", False)])
+    def test_boolean_spellings(self, capsys, tmp_path, spelling, value):
+        path = tmp_path / "spec.txt"
+        path.write_text(f"resource_kind = j0\nn = 10\nparity_correction = {spelling}\n")
+        code, out, _ = run_cli(capsys, ["sweep", "--spec-file", str(path), "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["meta"]["spec"]["parity_correction"] is value
+
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text("{not json")
@@ -349,6 +440,24 @@ class TestOutputHandling:
         for row in rows:
             for cell in row[1:]:
                 assert "%.3g" % float(cell) == cell
+
+    @pytest.mark.parametrize("precision", ["-3", "0", "18", "x", "1.5"])
+    def test_precision_out_of_range_is_usage_error(self, capsys, precision):
+        code, out, err = run_cli(
+            capsys, ["rotate", "--n", "2", "--m", "0", "--beta-deg", "30",
+                     "--precision", precision]
+        )
+        assert code == 2
+        assert out == ""
+        assert "1..17" in err
+
+    @pytest.mark.parametrize("precision", ["1", "17"])
+    def test_precision_bounds_accepted(self, capsys, precision):
+        code, _, _ = run_cli(
+            capsys, ["rotate", "--n", "2", "--m", "0", "--beta-deg", "30",
+                     "--precision", precision]
+        )
+        assert code == 0
 
     def test_timestamp_only_when_requested(self, capsys):
         argv = ["figure", "--id", "3", "--format", "json"]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockport import (
     BeamSplitterAngle,
@@ -16,13 +18,146 @@ from fockport import (
     brute_force_rotation,
     phase_shift,
     rotate_about_x,
+    rotate_about_x_grid,
     wigner_d_column,
     wigner_d_element,
 )
+from fockport import su2
 
 from conftest import dmat_expm, mp_d, random_state_vector, rot_expm
 
 PI = math.pi
+
+_BIG = 1e250
+_LOGBIG = math.log(_BIG)
+
+
+def reference_column(tj, tm, beta):
+    """The one-column scalar recurrence the batched kernel replaced, kept verbatim.
+
+    Two mirrored loops over numpy scalars, up from m' = -j and down from
+    m' = +j; the batched kernel must reproduce it bit for bit.
+    """
+    n = tj + 1
+    j = tj / 2.0
+    m = tm / 2.0
+    sb = math.sin(beta)
+    cb = math.cos(beta)
+    mp = np.arange(n, dtype=float) - j
+    A = sb * np.sqrt((j - mp[:-1]) * (j + mp[:-1] + 1.0))
+    B = 2.0 * (m - mp * cb)
+    ch = math.cos(beta / 2.0)
+    sh = math.sin(beta / 2.0)
+    sgn_ch = 1.0 if ch >= 0 else -1.0
+    sgn_sh = 1.0 if sh >= 0 else -1.0
+    sgn_bot = sgn_ch ** ((tj - tm) // 2) * sgn_sh ** ((tj + tm) // 2)
+    sgn_top = ((-1.0) ** ((tj - tm) // 2)
+               * sgn_ch ** ((tj + tm) // 2) * sgn_sh ** ((tj - tm) // 2))
+
+    w_u = np.empty(n)
+    e_u = np.empty(n)
+    w_u[0] = sgn_bot
+    e_u[0] = 0.0
+    prev, cur, cur_e = 0.0, sgn_bot, 0.0
+    for i in range(n - 1):
+        nxt = (B[i] * cur - (A[i - 1] * prev if i > 0 else 0.0)) / A[i]
+        mag = abs(nxt)
+        if mag > _BIG:
+            nxt /= _BIG
+            cur /= _BIG
+            cur_e += _LOGBIG
+            w_u[i] = cur
+            e_u[i] = cur_e
+        elif mag != 0.0 and mag < 1.0 / _BIG:
+            nxt *= _BIG
+            cur *= _BIG
+            cur_e -= _LOGBIG
+            w_u[i] = cur
+            e_u[i] = cur_e
+        w_u[i + 1] = nxt
+        e_u[i + 1] = cur_e
+        prev, cur = cur, nxt
+
+    w_d = np.empty(n)
+    e_d = np.empty(n)
+    w_d[n - 1] = sgn_top
+    e_d[n - 1] = 0.0
+    prev, cur, cur_e = 0.0, sgn_top, 0.0
+    for i in range(n - 1, 0, -1):
+        nxt = (B[i] * cur - (A[i] * prev if i < n - 1 else 0.0)) / A[i - 1]
+        mag = abs(nxt)
+        if mag > _BIG:
+            nxt /= _BIG
+            cur /= _BIG
+            cur_e += _LOGBIG
+            w_d[i] = cur
+            e_d[i] = cur_e
+        elif mag != 0.0 and mag < 1.0 / _BIG:
+            nxt *= _BIG
+            cur *= _BIG
+            cur_e -= _LOGBIG
+            w_d[i] = cur
+            e_d[i] = cur_e
+        w_d[i - 1] = nxt
+        e_d[i - 1] = cur_e
+        prev, cur = cur, nxt
+
+    with np.errstate(divide="ignore"):
+        lu = np.log(np.abs(w_u), out=np.full(n, -np.inf), where=(w_u != 0)) + e_u
+        ld = np.log(np.abs(w_d), out=np.full(n, -np.inf), where=(w_d != 0)) + e_d
+    centre = int(round(j + m * cb))
+    centre = min(max(centre, 0), n - 1)
+    lo = max(0, centre - 20)
+    hi = min(n - 1, centre + 20)
+    window = np.arange(lo, hi + 1)
+    p = int(window[np.argmax(lu[window] + ld[window])])
+    offset = lu[p] - ld[p]
+    sign_match = np.sign(w_u[p]) * np.sign(w_d[p])
+    llog = np.concatenate([lu[: p + 1], ld[p + 1:] + offset])
+    sgn = np.concatenate([np.sign(w_u[: p + 1]), np.sign(w_d[p + 1:]) * sign_match])
+    peak = llog.max()
+    lognorm = peak + 0.5 * math.log(float(np.exp(2.0 * (llog - peak)).sum()))
+    out = sgn * np.exp(llog - lognorm)
+    out[np.abs(out) < 1e-300] = 0.0
+    return out
+
+
+def reference_d_column(tj, tm, beta):
+    """The one-column wigner_d_column: closed forms, else reference_column."""
+    if tj == 0:
+        return np.array([1.0])
+    if math.sin(beta) == 0.0:
+        values = np.zeros(tj + 1)
+        if math.cos(beta) > 0.0:
+            k = round(beta / (2.0 * math.pi))
+            values[(tj + tm) // 2] = (-1.0) ** (tj * k)
+        else:
+            k = round((beta - math.pi) / (2.0 * math.pi))
+            values[(tj - tm) // 2] = (-1.0) ** ((tj - tm) // 2) * (-1.0) ** (tj * k)
+        return values
+    return reference_column(tj, tm, beta)
+
+
+def reference_rotate(state, beta):
+    """The one-column-at-a-time rotation, summing columns in m order."""
+    j = state.j
+    out = np.zeros(j.dim, dtype=complex)
+    tms = state.twice_m_values()
+    for i, amp in enumerate(state.amplitudes):
+        if amp == 0.0:
+            continue
+        tm = int(tms[i])
+        col = reference_d_column(j.twice_j, tm, beta)
+        k = (tm - tms) // 2
+        out += amp * (1j ** np.mod(k, 4)) * col
+    out[np.abs(out) < 1e-300] = 0.0
+    return out / np.linalg.norm(out)
+
+
+def same_bits(got, want):
+    """Equal including signed zeros: the arrays hold identical bytes."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestTypes:
@@ -300,3 +435,143 @@ class TestRotation:
         a = phase_shift(phase_shift(state, 0.2), 0.5)
         b = phase_shift(state, 0.7)
         np.testing.assert_allclose(a.amplitudes, b.amplitudes, atol=1e-14)
+
+
+class TestBatchedKernel:
+    """The lane-batched kernel and the per-lane scalar path against reference_column."""
+
+    @pytest.mark.parametrize(
+        "twice_j, twice_ms, betas",
+        [
+            # lanes mixing m and beta, including the balanced splitter
+            (20, [-20, -4, 0, 6, 20], [0.3, PI / 2, 2.9]),
+            # half-integer j, beta = pi goes through the recurrence
+            (21, [-21, -1, 1, 21], [0.05, 1.7, PI]),
+            # closed-form lanes (sin beta = 0) next to recurrence lanes and windings
+            (8, [-8, 0, 8], [0.0, -0.0, 1.1, 2 * PI, -PI, 7.5, -3.0]),
+            (7, [-7, 3], [0.0, 2 * PI, 0.4]),
+            # edge m at large twice_j: the recurrence rescales and flushes
+            (2000, [-2000, -1998, 0, 1996, 2000], [0.02, 0.3, 3.1]),
+            (2001, [-2001, 1, 1999], [0.1, 1.5]),
+            (1, [-1, 1], [0.7]),
+        ],
+    )
+    @pytest.mark.parametrize("scalar_lanes", [0, 10**9], ids=["batched", "scalar"])
+    def test_columns_match_reference(self, monkeypatch, twice_j, twice_ms, betas,
+                                     scalar_lanes):
+        monkeypatch.setattr(su2, "_SCALAR_LANES", scalar_lanes)
+        got = su2._columns(twice_j, twice_ms, betas)
+        want = np.array([[reference_d_column(twice_j, tm, b) for tm in twice_ms]
+                         for b in betas])
+        assert same_bits(got, want)
+
+    def test_public_column_matches_reference(self):
+        for twice_j, tm, beta in [(100000, 2, 1.234), (20000, 0, (PI / 2) * (1 - 1 / 20000)),
+                                  (5000, -4000, 2.5), (3, 1, 2 * PI), (0, 0, 0.4)]:
+            col = wigner_d_column(SpinJ(twice_j), SpinProjection(tm), beta)
+            assert same_bits(col.values, reference_d_column(twice_j, tm, beta))
+
+    def test_rescaling_lanes_are_exercised(self, monkeypatch):
+        events = []
+        recurrence = su2._recurrence
+
+        def spy(A, B, seeds):
+            w, found = recurrence(A, B, seeds)
+            events.extend(found)
+            return w, found
+
+        monkeypatch.setattr(su2, "_recurrence", spy)
+        monkeypatch.setattr(su2, "_SCALAR_LANES", 0)
+        su2._columns(2000, [-2000, 0, 2000], [0.02, 0.3])
+        assert events
+
+    def test_both_rescale_directions_agree(self, rng):
+        # seeds below 1/_BIG force upward rescales, steep coefficients downward ones
+        n = 400
+        seeds = np.array([1e-260, -1e-270, 1.0, 1e-300, -3.0])
+        A = rng.uniform(0.5, 2.0, (len(seeds), n))
+        A[:, 0] = 0.0
+        B = rng.uniform(-50.0, 50.0, (len(seeds), n))
+        w, events = su2._recurrence_batched(A, B, seeds)
+        assert any((e < 0).any() for _, _, e in events)
+        assert any((e > 0).any() for _, _, e in events)
+        for lane, seed in enumerate(seeds):
+            values, lane_events = su2._recurrence_scalar(
+                memoryview(A[lane]), memoryview(B[lane]), float(seed))
+            assert same_bits(np.frombuffer(values), w[lane])
+            exponents = np.zeros(n)
+            for i, cur_e in lane_events:
+                exponents[i:] = cur_e
+            want = np.zeros(n)
+            for rows, i, cur_e in events:
+                want[i:] = cur_e[lane, 0]
+            assert same_bits(exponents, want)
+
+    @pytest.mark.parametrize("budget", [60, 500, 5000])
+    def test_blocks_crossing_the_budget_match_reference(self, monkeypatch, rng, budget):
+        # small budgets split the grid into runs of betas and runs of m
+        monkeypatch.setattr(su2, "LANE_BUDGET", budget)
+        state = SpinState(SpinJ(30), random_state_vector(rng, 31))
+        betas = [0.0, 0.4, PI / 2, 2.2, PI]
+        got = rotate_about_x_grid(state, betas)
+        for rotated, beta in zip(got, betas):
+            assert same_bits(rotated.amplitudes, reference_rotate(state, beta))
+
+    def test_dense_rotation_matches_reference(self, rng):
+        # N = 300 holds more lane-elements than one kernel block
+        state = SpinState(SpinJ(300), random_state_vector(rng, 301))
+        assert 301 * 301 > su2.LANE_BUDGET
+        assert same_bits(rotate_about_x(state, 1.3).amplitudes, reference_rotate(state, 1.3))
+
+    @pytest.mark.parametrize("twice_j", [4, 21, 120])
+    def test_sparse_rotation_grid_matches_reference(self, twice_j):
+        tms = [(-twice_j) % 2 + 2 * k for k in (-1, 0, 1)]
+        amps = np.zeros(twice_j + 1, dtype=complex)
+        for tm, a in zip(tms, (0.3 + 0.1j, 0.8, -0.5j)):
+            amps[(tm + twice_j) // 2] = a
+        state = SpinState(SpinJ(twice_j), amps / np.linalg.norm(amps))
+        betas = list(np.linspace(0.0, PI / 2, 37))
+        for rotated, beta in zip(rotate_about_x_grid(state, betas), betas):
+            assert same_bits(rotated.amplitudes, reference_rotate(state, beta))
+            assert same_bits(rotate_about_x(state, beta).amplitudes, rotated.amplitudes)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_beta_is_domain_error(self, beta):
+        with pytest.raises(DomainError, match="finite"):
+            wigner_d_column(SpinJ(4), SpinProjection(0), beta)
+        with pytest.raises(DomainError, match="finite"):
+            rotate_about_x(basis_state(SpinJ(4), SpinProjection(0)), beta)
+        with pytest.raises(DomainError, match="finite"):
+            rotate_about_x_grid(basis_state(SpinJ(4), SpinProjection(0)), [0.3, beta])
+
+    def test_empty_grid(self):
+        assert rotate_about_x_grid(basis_state(SpinJ(4), SpinProjection(0)), []) == []
+
+
+def dense_d(twice_j, beta):
+    """d^j(beta) from every column at once: entry [m', m]."""
+    return su2._columns(twice_j, np.arange(-twice_j, twice_j + 1, 2), [beta])[0].T
+
+
+class TestLargeNIdentities:
+    """Identities that hold where the mpmath and expm oracles cannot reach."""
+
+    @settings(max_examples=6, deadline=None)
+    @given(twice_j=st.integers(100, 500), beta=st.floats(0.05, PI - 0.05))
+    def test_unitarity(self, twice_j, beta):
+        d = dense_d(twice_j, beta)
+        np.testing.assert_allclose(d.T @ d, np.eye(twice_j + 1), atol=1e-10)
+
+    @settings(max_examples=6, deadline=None)
+    @given(twice_j=st.integers(100, 500), beta=st.floats(0.05, PI - 0.05))
+    def test_transpose_symmetry(self, twice_j, beta):
+        d = dense_d(twice_j, beta)
+        k = np.arange(twice_j + 1)
+        sign = np.where((k[:, None] - k[None, :]) % 2, -1.0, 1.0)
+        np.testing.assert_allclose(d, sign * d.T, atol=1e-11)
+
+    @settings(max_examples=6, deadline=None)
+    @given(twice_j=st.integers(100, 400), b1=st.floats(0.05, 1.5), b2=st.floats(0.05, 1.5))
+    def test_composition(self, twice_j, b1, b2):
+        np.testing.assert_allclose(dense_d(twice_j, b1) @ dense_d(twice_j, b2),
+                                   dense_d(twice_j, b1 + b2), atol=1e-10)

@@ -6,19 +6,23 @@ import numpy as np
 import pytest
 
 from fockport import (
+    MAX_GRID_POINTS,
     BetaGrid,
     DomainError,
     FilterOrder,
     RESOURCE_KINDS,
     RelativePhaseSpec,
+    SizeCapError,
     SweepSpec,
     beta_q,
     figure_dataset,
     filtered_input,
     find_beta_q_numeric,
     make_resource,
+    make_resources,
     relative_phase_state,
     resource_for_kind,
+    resources_for_kind,
     run_sweep,
 )
 from fockport.sweep import stamp
@@ -40,6 +44,15 @@ class TestBetaGrid:
 
     def test_empty_when_reversed(self):
         assert len(BetaGrid(2.0, 1.0, 0.1).values()) == 0
+
+    def test_largest_grid_is_a_hundredth_of_a_degree_over_half_a_turn(self):
+        grid = BetaGrid(0.0, PI, math.radians(0.01))
+        assert len(grid.values()) == MAX_GRID_POINTS
+
+    @pytest.mark.parametrize("step", [math.radians(1e-7), 1e-300, 5e-324])
+    def test_oversized_grid_is_refused(self, step):
+        with pytest.raises(SizeCapError):
+            BetaGrid(0.0, PI, step).values()
 
 
 class TestSweepSpec:
@@ -70,6 +83,9 @@ class TestSweepSpec:
             (dict(alpha=-1.0), "alpha"),
             (dict(q_list=[3, -1]), "q_list"),
             (dict(q_list=object()), "q_list"),
+            (dict(beta_grid=BetaGrid(1.0, 2.0, math.nan)), "beta_grid"),
+            (dict(beta_grid=BetaGrid(math.nan, 2.0, 0.1)), "beta_grid"),
+            (dict(beta_grid=BetaGrid(1.0, math.inf, 0.1)), "beta_grid"),
         ],
     )
     def test_invalid_specs_name_the_field(self, overrides, needle):
@@ -111,6 +127,31 @@ class TestResourceForKind:
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
             resource_for_kind("nope", 4, 1.0)
+        with pytest.raises(DomainError):
+            resources_for_kind("nope", 4, [])
+
+    @pytest.mark.parametrize("kind, N", [("j0", 20), ("2pt", 21), ("3pt", 20), ("4pt", 21),
+                                         ("relative-phase-input", 12), ("ideal", 6)])
+    def test_grid_matches_one_angle_at_a_time(self, kind, N):
+        betas = [0.0, 0.3, PI / 2, 2.0, PI]
+        grid = resources_for_kind(kind, N, betas)
+        assert len(grid) == len(betas)
+        for resource, beta in zip(grid, betas):
+            single = resource_for_kind(kind, N, beta)
+            assert resource.s.tobytes() == single.s.tobytes()
+
+    def test_make_resources_matches_make_resource(self):
+        state = filtered_input(21, FilterOrder(3))
+        betas = [0.2, 1.0, 1.4]
+        for resource, beta in zip(make_resources(state, betas), betas):
+            assert resource.s.tobytes() == make_resource(state, beta).s.tobytes()
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf])
+    def test_non_finite_beta_is_domain_error(self, beta):
+        with pytest.raises(DomainError, match="finite"):
+            resources_for_kind("j0", 10, [0.5, beta])
+        with pytest.raises(DomainError, match="finite"):
+            make_resource(filtered_input(10, FilterOrder(0)), beta)
 
     def test_kind_registry(self):
         assert set(RESOURCE_KINDS) == {
@@ -150,20 +191,6 @@ class TestRunSweep:
         second = run_sweep(spec)
         assert first.rows == second.rows
         assert first.meta == second.meta
-
-    def test_thread_count_does_not_change_rows(self, monkeypatch):
-        spec = self.small_spec(q_list="all")
-        monkeypatch.setenv("FOCKPORT_THREADS", "1")
-        serial = run_sweep(spec)
-        monkeypatch.setenv("FOCKPORT_THREADS", "4")
-        threaded = run_sweep(spec)
-        assert serial.rows == threaded.rows
-
-    @pytest.mark.parametrize("value", ["zero", "0", "-3"])
-    def test_bad_thread_env_rejected(self, monkeypatch, value):
-        monkeypatch.setenv("FOCKPORT_THREADS", value)
-        with pytest.raises(DomainError):
-            run_sweep(self.small_spec())
 
     def test_unreachable_rows_have_none_fidelity(self):
         spec = self.small_spec(alpha=0.0, q_list=[10, 11])
@@ -226,6 +253,12 @@ class TestFindBetaQ:
     def test_unknown_objective(self):
         with pytest.raises(DomainError):
             find_beta_q_numeric(10, objective="sharpness")
+
+    @pytest.mark.parametrize("step, error", [(0.0, DomainError), (-0.1, DomainError),
+                                             (math.nan, DomainError), (1e-9, SizeCapError)])
+    def test_bad_step_is_refused(self, step, error):
+        with pytest.raises(error):
+            find_beta_q_numeric(10, step=step)
 
     def test_coarse_step_still_lands_near_formula(self):
         found = math.degrees(find_beta_q_numeric(20, step=math.radians(2.5)))
