@@ -192,6 +192,17 @@ _SWEEP_KEYS = ("resource_kind", "n", "beta_start_deg", "beta_stop_deg",
                "beta_step_deg", "alpha", "q_list", "parity_correction")
 
 
+def _spec_number(value, key: str, integer: bool = False):
+    """A spec value as a number: a JSON number or, from a key = value file, its text."""
+    types = (str, int) if integer else (str, int, float)
+    if isinstance(value, types) and not isinstance(value, bool):
+        try:
+            return int(value) if integer else float(value)
+        except (ValueError, OverflowError):
+            pass
+    raise ValueError(f"{key}: expected {'an integer' if integer else 'a number'}, got {value!r}")
+
+
 def _spec_from_mapping(raw: dict) -> SweepSpec:
     unknown = sorted(set(raw) - set(_SWEEP_KEYS))
     if unknown:
@@ -199,32 +210,27 @@ def _spec_from_mapping(raw: dict) -> SweepSpec:
             "unknown spec keys: %s (valid keys: %s)"
             % (", ".join(unknown), ", ".join(_SWEEP_KEYS))
         )
-
-    def get(key, default=None):
-        return raw.get(key, default)
-
-    kind = get("resource_kind")
+    kind = raw.get("resource_kind")
     if kind is None:
         raise ValueError("resource_kind: missing")
-    n = get("n")
-    if n is None:
-        raise ValueError("n: missing")
-    q_raw = get("q_list", "all")
-    if isinstance(q_raw, str) and q_raw != "all":
-        q_list = [int(tok) for tok in q_raw.split(",") if tok.strip()]
-    else:
-        q_list = q_raw
-    corr = get("parity_correction", False)
-    if isinstance(corr, str):
-        if corr.lower() not in _BOOLEANS:
-            raise ValueError(f"parity_correction: expected one of {', '.join(_BOOLEANS)}, "
-                             f"got {corr!r}")
-        corr = _BOOLEANS[corr.lower()]
-    grid = BetaGrid(
-        math.radians(_angle_deg(float(get("beta_start_deg", 45.0)), "beta_start_deg")),
-        math.radians(_angle_deg(float(get("beta_stop_deg", 90.0)), "beta_stop_deg")),
-        math.radians(float(get("beta_step_deg", 0.5))))
-    return SweepSpec(str(kind), int(n), grid, float(get("alpha", 0.0)), q_list, bool(corr))
+    q_list = raw.get("q_list", "all")
+    if q_list != "all":
+        if isinstance(q_list, str):
+            q_list = [tok for tok in q_list.split(",") if tok.strip()]
+        if not isinstance(q_list, list):
+            raise ValueError(f"q_list: expected 'all' or a list of integers, got {q_list!r}")
+        q_list = [_spec_number(q, "q_list", integer=True) for q in q_list]
+    corr = _BOOLEANS.get(str(raw.get("parity_correction", False)).lower())
+    if corr is None:
+        raise ValueError(f"parity_correction: expected a JSON boolean or one of "
+                         f"{', '.join(_BOOLEANS)}, got {raw['parity_correction']!r}")
+    start = _spec_number(raw.get("beta_start_deg", 45.0), "beta_start_deg")
+    stop = _spec_number(raw.get("beta_stop_deg", 90.0), "beta_stop_deg")
+    step = _spec_number(raw.get("beta_step_deg", 0.5), "beta_step_deg")
+    grid = BetaGrid(math.radians(_angle_deg(start, "beta_start_deg")),
+                    math.radians(_angle_deg(stop, "beta_stop_deg")), math.radians(step))
+    return SweepSpec(str(kind), _spec_number(raw.get("n"), "n", integer=True), grid,
+                     _spec_number(raw.get("alpha", 0.0), "alpha"), q_list, corr)
 
 
 def cmd_sweep(args) -> int:

@@ -55,7 +55,7 @@ class QuasiEprResource:
         if s.shape != (self.N + 1,):
             raise DomainError(f"s must have length {self.N + 1}, got {s.shape}")
         norm = float(np.linalg.norm(s))
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= 1e-10:
             raise DomainError(f"resource norm {norm} deviates from 1 by more than 1e-10")
 
 
@@ -86,13 +86,12 @@ def f_coefficient(j: SpinJ, m_out: SpinProjection, beta: float = math.pi / 2,
     return complex(np.sum(phases * signs * col))
 
 
-def filtered_input(N: int, order: FilterOrder, beta_for_f: float = math.pi / 2,
-                   phi0: float = 0.0) -> SpinState:
+def filtered_input(N: int, order: FilterOrder) -> SpinState:
     """Low-|m| filtered input state of total photon number N.
 
     Level 0 is |j 0>; level 1/2 the equal pair (|j 1/2> + |j -1/2>)/sqrt 2;
     levels 1 and 3/2 weight the kept components by the f-coefficients at
-    beta_for_f and renormalize.
+    beta = pi/2, phi0 = 0 and renormalize.
     """
     if N < order.twice_level:
         raise DomainError(f"N = {N} too small for filter level {order.level}")
@@ -112,7 +111,7 @@ def filtered_input(N: int, order: FilterOrder, beta_for_f: float = math.pi / 2,
     kept = range(-order.twice_level, order.twice_level + 1, 2)
     amps = np.zeros(N + 1, dtype=complex)
     for tm in kept:
-        amps[(tm + N) // 2] = f_coefficient(j, SpinProjection(tm), beta_for_f, phi0)
+        amps[(tm + N) // 2] = f_coefficient(j, SpinProjection(tm))
     amps /= np.linalg.norm(amps)
     return SpinState(j, amps)
 
@@ -141,6 +140,8 @@ def make_resource(input_state: SpinState, beta: float) -> QuasiEprResource:
 
 def ideal_resource(N: int) -> QuasiEprResource:
     """Perfectly flat resource s_n = 1/sqrt(N+1)."""
+    if N < 0:
+        raise DomainError(f"N must be >= 0, got {N}")
     return QuasiEprResource(N, np.full(N + 1, 1.0 / math.sqrt(N + 1), dtype=complex))
 
 

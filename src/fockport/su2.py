@@ -94,7 +94,7 @@ class SpinState:
         if amps.shape != (self.j.dim,):
             raise DomainError(f"amplitude vector must have length {self.j.dim}, got {amps.shape}")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > _NORM_TOL:
+        if not abs(norm - 1.0) <= _NORM_TOL:
             raise DomainError(f"state norm {norm} deviates from 1 by more than {_NORM_TOL}")
 
     def twice_m_values(self) -> np.ndarray:
@@ -194,22 +194,20 @@ def wigner_d_element(j: SpinJ, m_out: SpinProjection, m_in: SpinProjection, beta
     return math.fsum(terms)
 
 
-def _recurrence_batched(A: np.ndarray, B: np.ndarray, seeds: np.ndarray):
+def _recurrence_batched(A: np.ndarray, B: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     """Run v[i+1] = (B[i] v[i] - A[i] v[i-1]) / A[i+1] over all lanes at once.
 
     A and B hold one row per lane; A[:, 0] is zero, so the first step is
     B[0] v[0] - 0.0 as in the scalar loop.  Each lane keeps its own
-    rescaling.  Returns the stored values w (lane, step) and the rescale
-    events [(lanes, step, exponents after it)].
+    rescaling: a rescale at step i overwrites the consumed B[lane, i] with
+    +inf (divided by _BIG) or -inf (multiplied).  Returns the values w.
     """
     lanes, n = B.shape
     w = np.empty((lanes, n))
     w[:, 0] = seeds
     prev = np.zeros(lanes)
-    cur_e = np.zeros(lanes)
     tmp = np.empty(lanes)
     mag = np.empty(lanes)
-    events = []
     for i in range(n - 1):
         cur, nxt = w[:, i], w[:, i + 1]
         np.multiply(B[:, i], cur, out=nxt)
@@ -221,55 +219,43 @@ def _recurrence_batched(A: np.ndarray, B: np.ndarray, seeds: np.ndarray):
             continue
         big = mag > _BIG
         small = (mag != 0.0) & (mag < _TINY)
-        if not (big.any() or small.any()):
-            continue
         nxt[big] /= _BIG
         cur[big] /= _BIG
         nxt[small] *= _BIG
         cur[small] *= _BIG
-        cur_e = cur_e.copy()
-        cur_e[big] += _LOGBIG
-        cur_e[small] -= _LOGBIG
-        events.append((slice(None), i, cur_e[:, None]))
-    return w, events
+        B[big, i] = math.inf
+        B[small, i] = -math.inf
+    return w
 
 
-def _recurrence_scalar(A, B, seed: float):
+def _recurrence_scalar(A, B, seed: float) -> array:
     """One lane of _recurrence_batched in Python floats; same operations, same order."""
     w = array("d", [seed])
-    events = []
-    prev, cur, cur_e = 0.0, seed, 0.0
+    prev, cur = 0.0, seed
     for a_prev, a, b in zip(A, A[1:], B):
         nxt = (b * cur - a_prev * prev) / a
         mag = abs(nxt)
         if mag > _BIG:
             nxt /= _BIG
             cur /= _BIG
-            cur_e += _LOGBIG
-            w[-1] = cur
-            events.append((len(w) - 1, cur_e))
+            w[-1], B[len(w) - 1] = cur, math.inf
         elif mag != 0.0 and mag < _TINY:
             nxt *= _BIG
             cur *= _BIG
-            cur_e -= _LOGBIG
-            w[-1] = cur
-            events.append((len(w) - 1, cur_e))
+            w[-1], B[len(w) - 1] = cur, -math.inf
         w.append(nxt)
         prev, cur = cur, nxt
-    return w, events
+    return w
 
 
-def _recurrence(A: np.ndarray, B: np.ndarray, seeds: np.ndarray):
+def _recurrence(A: np.ndarray, B: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     """Every lane through the batched kernel, or one by one when lanes are few."""
     if len(seeds) >= _SCALAR_LANES:
         return _recurrence_batched(A, B, seeds)
     w = np.empty(B.shape)
-    events = []
     for lane, seed in enumerate(seeds.tolist()):
-        values, lane_events = _recurrence_scalar(memoryview(A[lane]), memoryview(B[lane]), seed)
-        w[lane] = np.frombuffer(values)
-        events += [(lane, i, cur_e) for i, cur_e in lane_events]
-    return w, events
+        w[lane] = np.frombuffer(_recurrence_scalar(memoryview(A[lane]), memoryview(B[lane]), seed))
+    return w
 
 
 def _glue(sgn: np.ndarray, logmag: np.ndarray, centre: np.ndarray) -> np.ndarray:
@@ -348,24 +334,31 @@ def _recurrence_columns(tj: int, tms: np.ndarray, betas) -> np.ndarray:
     sgn_top = (np.where(odd_lo, -1.0, 1.0) * np.where(odd_hi, sgn_ch, 1.0)
                * np.where(odd_lo, sgn_sh, 1.0))
 
-    w, events = _recurrence(A, B, np.concatenate([sgn_bot, sgn_top]))
-    del A, B  # free the coefficients before the glue allocates
-    # sign/log-magnitude form; entry i carries the exponent after step i
+    w = _recurrence(A, B, np.concatenate([sgn_bot, sgn_top]))
+    del A  # free the coefficients before the tail allocates
+    # sign/log-magnitude form.  B is finite except where a step rescaled;
+    # entry i carries the +-_LOGBIG shifts of steps 0..i, summed in step order
     logmag = np.abs(w)
     with np.errstate(divide="ignore"):
         np.log(logmag, out=logmag)
-    if events:
-        e = np.zeros(w.shape)
-        for rows, i, cur_e in events:
-            e[rows, i:] = cur_e
-        logmag += e
-        del e
+    rescaled = np.isinf(B)
+    if rescaled.any():
+        np.copysign(_LOGBIG, B, out=B)
+        B[~rescaled] = 0.0
+        logmag += np.cumsum(B, axis=1, out=B)
+    del B, rescaled
     centre = np.minimum(np.maximum(np.rint(j + m * cb), 0), n - 1).astype(np.intp)
-    return _glue(np.sign(w, out=w), logmag, centre)
+    with np.errstate(invalid="ignore"):  # an overflowed lane is refused below
+        out = _glue(np.sign(w, out=w), logmag, centre)
+    if not np.isfinite(out).all():
+        beta = betas[np.argmin(np.isfinite(out).all(axis=1)) // len(tms)]
+        raise DomainError(f"beta = {beta!r} is too close to a multiple of pi: the column "
+                          f"recurrence overflows at twice_j = {tj}")
+    return out
 
 
 def _check_angles(betas) -> list:
-    """Angles as floats; any finite beta is accepted, NaN and infinities are not."""
+    """Angles as floats; NaN and infinities are refused here, overflowing columns by the kernel."""
     betas = [float(b) for b in betas]
     for beta in betas:
         if not math.isfinite(beta):
@@ -377,8 +370,6 @@ def _columns(tj: int, tms, betas) -> np.ndarray:
     """d^j_{m',m}(beta) for every beta and m: array indexed [beta, m, m']."""
     tms = np.asarray(tms, dtype=np.int64)
     shape = (len(betas), len(tms), tj + 1)
-    if tj == 0:
-        return np.ones(shape)
     turning = [b for b, beta in enumerate(betas) if math.sin(beta) != 0.0]
     if len(turning) == len(betas):
         return _recurrence_columns(tj, tms, betas).reshape(shape)
@@ -410,19 +401,13 @@ def _column_blocks(tj: int, tms: np.ndarray, betas: list):
     kernel's working set stays bounded whatever the grid.  A lane costs its
     column length, or the glue window when that is longer.
     """
-    n = max(tj + 1, 2 * _GLUE_HALF_WIDTH + 1)
-    per_beta = len(tms) * n
-    if per_beta <= LANE_BUDGET:
-        step = LANE_BUDGET // per_beta
-        for lo in range(0, len(betas), step):
-            hi = min(lo + step, len(betas))
-            yield slice(lo, hi), slice(0, len(tms)), _columns(tj, tms, betas[lo:hi])
-        return
-    step = max(1, LANE_BUDGET // n)
-    for b in range(len(betas)):
-        for lo in range(0, len(tms), step):
-            hi = min(lo + step, len(tms))
-            yield slice(b, b + 1), slice(lo, hi), _columns(tj, tms[lo:hi], betas[b:b + 1])
+    cap = max(1, LANE_BUDGET // max(tj + 1, 2 * _GLUE_HALF_WIDTH + 1))
+    m_step = min(len(tms), cap)
+    b_step = max(1, cap // len(tms))
+    for b in range(0, len(betas), b_step):
+        for m in range(0, len(tms), m_step):
+            yield (slice(b, b + b_step), slice(m, m + m_step),
+                   _columns(tj, tms[m:m + m_step], betas[b:b + b_step]))
 
 
 def wigner_d_column(j: SpinJ, m_in: SpinProjection, beta: float) -> WignerColumn:

@@ -14,13 +14,13 @@ from datetime import datetime, timezone
 import numpy as np
 
 from ._version import __version__
-from .errors import DomainError, SizeCapError
+from .errors import DomainError, ImpossibleOutcomeError, SizeCapError
 from .quasi_epr import (FilterOrder, beta_q, filtered_input, ideal_resource,
                         make_resources, phase_distribution, quality)
 from .states import (RelativePhaseSpec, coherent_coefficients,
                      relative_phase_state)
 from .su2 import LANE_BUDGET
-from .teleport import evaluate_all, evaluate_outcome, fidelity, high_fidelity_region
+from .teleport import _evaluate, evaluate_all, evaluate_outcome, high_fidelity_region
 
 _DEFAULT_STEP = math.radians(0.5)
 
@@ -199,9 +199,17 @@ def find_beta_q_numeric(N: int, resource_kind: str = "j0",
         elif objective == "entropy":
             scores[i] = quality(resource).entropy
         else:
-            scores[i] = min(fidelity(target, resource, q, True)
-                            for q in range(q_lo, q_hi + 1))
+            scores[i] = _worst_fidelity(target, resource, range(q_lo, q_hi + 1))
     return float(betas[int(np.argmax(scores))])
+
+
+def _worst_fidelity(target, resource, qs) -> float:
+    """Smallest fidelity(target, resource, q, True) over qs, in one pass over the windows."""
+    fidelities = [row.fidelity for row in _evaluate(target, resource, qs, True)]
+    if None in fidelities:
+        q = qs[fidelities.index(None)]
+        raise ImpossibleOutcomeError(f"outcome q = {q} has zero probability")
+    return min(fidelities)
 
 
 def _modulus_rows(kind: str, N: int, betas, with_phase: bool = False):

@@ -59,7 +59,7 @@ class BobState:
             raise DomainError(
                 f"amplitudes must cover k = {self.k0}..{self.q}, got length {amps.shape[0]}")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= 1e-10:
             raise DomainError(f"BobState norm {norm} deviates from 1")
 
     @property
@@ -83,7 +83,7 @@ class SingleModeState:
         amps = np.asarray(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", amps)
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= 1e-10:
             raise DomainError(f"state norm {norm} deviates from 1")
 
 

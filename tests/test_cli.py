@@ -125,6 +125,14 @@ class TestRotate:
         assert out == ""
         assert "[0, 180]" in err
 
+    def test_overflowing_tiny_beta_is_domain_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, ["rotate", "--n", "10", "--m", "4", "--beta-deg", "1e-198"]
+        )
+        assert code == 3
+        assert out == ""
+        assert "beta = " in err
+
     @pytest.mark.parametrize("beta", ["0", "180"])
     def test_half_turn_endpoints_accepted(self, capsys, beta):
         code, out, _ = run_cli(capsys, ["rotate", "--n", "4", "--m", "2", "--beta-deg", beta])
@@ -196,6 +204,13 @@ class TestTeleport:
         assert rows[-1]["q"] == "average"
         probs = [r["probability"] for r in rows[:-1]]
         assert sum(probs) == pytest.approx(1.0, abs=1e-9)
+
+    def test_negative_n_for_ideal_resource_is_domain_error(self, capsys):
+        code, out, err = run_cli(capsys, ["teleport", "--resource", "ideal", "--n", "-1",
+                                          "--q", "0"])
+        assert code == 3
+        assert out == ""
+        assert "N must be >= 0" in err
 
     def test_ideal_resource_needs_no_beta(self, capsys):
         code, out, _ = run_cli(
@@ -388,6 +403,31 @@ class TestSweep:
         code, out, _ = run_cli(capsys, ["sweep", "--spec-file", str(path), "--format", "json"])
         assert code == 0
         assert json.loads(out)["meta"]["spec"]["parity_correction"] is value
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", [10]), ("n", 10.5), ("n", True), ("n", None),
+        ("beta_start_deg", None), ("beta_stop_deg", [90]), ("beta_step_deg", "fine"),
+        pytest.param("beta_start_deg", 10 ** 400, id="beta_start_deg-huge-int"),
+        ("alpha", None), ("alpha", {"re": 1}),
+        ("q_list", 19), ("q_list", [1.5]), ("q_list", [True]),
+        ("parity_correction", [1]), ("parity_correction", 2), ("parity_correction", None),
+    ])
+    def test_wrongly_typed_json_value_is_usage_error(self, capsys, tmp_path, key, value):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**SPEC_JSON, key: value}))
+        code, out, err = run_cli(capsys, ["sweep", "--spec-file", str(path)])
+        assert code == 2
+        assert out == ""
+        assert f"{key}: expected" in err
+
+    @pytest.mark.parametrize("value, want", [(True, True), (False, False), ("Yes", True),
+                                             (1, True), (0, False)])
+    def test_json_boolean_values(self, capsys, tmp_path, value, want):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**SPEC_JSON, "parity_correction": value}))
+        code, out, _ = run_cli(capsys, ["sweep", "--spec-file", str(path), "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["meta"]["spec"]["parity_correction"] is want
 
     def test_malformed_json(self, capsys, tmp_path):
         path = tmp_path / "spec.json"

@@ -189,6 +189,10 @@ class TestMakeResource:
         with pytest.raises(DomainError):
             QuasiEprResource(2, np.array([1.0, 1.0, 1.0]))
 
+    def test_resource_rejects_nan_amplitudes(self):
+        with pytest.raises(DomainError, match="norm"):
+            QuasiEprResource(1, np.array([math.nan, 0.0]))
+
 
 class TestQuality:
     def test_frozen_level_one_report(self):

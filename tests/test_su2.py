@@ -1,6 +1,7 @@
 """Rotation kernel tests: element sums, column recurrence, dense oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +123,16 @@ def reference_column(tj, tm, beta):
     return out
 
 
+def rescale_exponents(record):
+    """Exponent after each step of one lane, a running total of its B record's +-inf marks."""
+    exponents, total = np.zeros(len(record)), 0.0
+    for i, mark in enumerate(record):
+        if math.isinf(mark):
+            total += math.copysign(_LOGBIG, mark)
+        exponents[i] = total
+    return exponents
+
+
 def reference_d_column(tj, tm, beta):
     """The one-column wigner_d_column: closed forms, else reference_column."""
     if tj == 0:
@@ -178,6 +189,10 @@ class TestTypes:
         j = SpinJ(2)
         with pytest.raises(DomainError):
             SpinState(j, np.array([1.0, 1.0, 1.0]))
+
+    def test_state_rejects_nan_amplitudes(self):
+        with pytest.raises(DomainError, match="norm"):
+            SpinState(SpinJ(1), np.array([math.nan, 0.0]))
 
     def test_state_requires_matching_length(self):
         with pytest.raises(DomainError):
@@ -472,18 +487,18 @@ class TestBatchedKernel:
             assert same_bits(col.values, reference_d_column(twice_j, tm, beta))
 
     def test_rescaling_lanes_are_exercised(self, monkeypatch):
-        events = []
+        marks = []
         recurrence = su2._recurrence
 
         def spy(A, B, seeds):
-            w, found = recurrence(A, B, seeds)
-            events.extend(found)
-            return w, found
+            w = recurrence(A, B, seeds)
+            marks.append(np.isinf(B).sum())
+            return w
 
         monkeypatch.setattr(su2, "_recurrence", spy)
         monkeypatch.setattr(su2, "_SCALAR_LANES", 0)
         su2._columns(2000, [-2000, 0, 2000], [0.02, 0.3])
-        assert events
+        assert sum(marks)
 
     def test_both_rescale_directions_agree(self, rng):
         # seeds below 1/_BIG force upward rescales, steep coefficients downward ones
@@ -492,20 +507,18 @@ class TestBatchedKernel:
         A = rng.uniform(0.5, 2.0, (len(seeds), n))
         A[:, 0] = 0.0
         B = rng.uniform(-50.0, 50.0, (len(seeds), n))
-        w, events = su2._recurrence_batched(A, B, seeds)
-        assert any((e < 0).any() for _, _, e in events)
-        assert any((e > 0).any() for _, _, e in events)
+        record = B.copy()
+        w = su2._recurrence_batched(A, record, seeds)
+        exponents = np.array([rescale_exponents(row) for row in record])
+        assert (exponents < 0).any()
+        assert (exponents > 0).any()
         for lane, seed in enumerate(seeds):
-            values, lane_events = su2._recurrence_scalar(
-                memoryview(A[lane]), memoryview(B[lane]), float(seed))
+            lane_record = B[lane].copy()
+            values = su2._recurrence_scalar(
+                memoryview(A[lane]), memoryview(lane_record), float(seed))
             assert same_bits(np.frombuffer(values), w[lane])
-            exponents = np.zeros(n)
-            for i, cur_e in lane_events:
-                exponents[i:] = cur_e
-            want = np.zeros(n)
-            for rows, i, cur_e in events:
-                want[i:] = cur_e[lane, 0]
-            assert same_bits(exponents, want)
+            assert same_bits(lane_record, record[lane])
+            assert same_bits(rescale_exponents(lane_record), exponents[lane])
 
     @pytest.mark.parametrize("budget", [60, 500, 5000])
     def test_blocks_crossing_the_budget_match_reference(self, monkeypatch, rng, budget):
@@ -543,6 +556,18 @@ class TestBatchedKernel:
             rotate_about_x(basis_state(SpinJ(4), SpinProjection(0)), beta)
         with pytest.raises(DomainError, match="finite"):
             rotate_about_x_grid(basis_state(SpinJ(4), SpinProjection(0)), [0.3, beta])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("twice_j, twice_m, beta",
+                             [(10, 4, 1e-100), (2000, 0, 1e-60), (1, 1, 1e-322)])
+    def test_overflowing_tiny_beta_is_domain_error(self, twice_j, twice_m, beta):
+        # one recurrence step scales by ~1/sin(beta) and overflows past any rescale
+        named = re.escape(f"beta = {beta!r}")
+        with pytest.raises(DomainError, match=named):
+            wigner_d_column(SpinJ(twice_j), SpinProjection(twice_m), beta)
+        with pytest.raises(DomainError, match=named):
+            rotate_about_x_grid(basis_state(SpinJ(twice_j), SpinProjection(twice_m)),
+                                [0.3, beta, 1e-5])
 
     def test_empty_grid(self):
         assert rotate_about_x_grid(basis_state(SpinJ(4), SpinProjection(0)), []) == []

@@ -10,11 +10,15 @@ from fockport import (
     BetaGrid,
     DomainError,
     FilterOrder,
+    ImpossibleOutcomeError,
+    QuasiEprResource,
     RESOURCE_KINDS,
     RelativePhaseSpec,
     SizeCapError,
     SweepSpec,
     beta_q,
+    coherent_coefficients,
+    fidelity,
     figure_dataset,
     filtered_input,
     find_beta_q_numeric,
@@ -25,7 +29,7 @@ from fockport import (
     resources_for_kind,
     run_sweep,
 )
-from fockport.sweep import stamp
+from fockport.sweep import _worst_fidelity, stamp
 
 PI = math.pi
 
@@ -253,6 +257,22 @@ class TestFindBetaQ:
     def test_unknown_objective(self):
         with pytest.raises(DomainError):
             find_beta_q_numeric(10, objective="sharpness")
+
+    @pytest.mark.parametrize("kind, N", [("j0", 20), ("2pt", 21), ("3pt", 40), ("4pt", 41),
+                                         ("j0", 60), ("2pt", 61)])
+    def test_fidelity_scores_equal_the_per_q_loop(self, kind, N):
+        target = coherent_coefficients(1.0)
+        qs = range(2, N + 1)  # the unit-alpha high-fidelity window
+        for resource in resources_for_kind(kind, N, [0.3, 1.2, beta_q(N), PI / 2]):
+            want = min(fidelity(target, resource, q, True) for q in qs)
+            assert _worst_fidelity(target, resource, qs) == want
+
+    def test_fidelity_score_refuses_an_impossible_outcome(self):
+        target = coherent_coefficients(1.0)
+        s = np.zeros(41)
+        s[0] = 1.0  # P(q) = 0 for every q past the target's k_max
+        with pytest.raises(ImpossibleOutcomeError, match=f"q = {target.k_max + 1} "):
+            _worst_fidelity(target, QuasiEprResource(40, s), range(2, 41))
 
     @pytest.mark.parametrize("step, error", [(0.0, DomainError), (-0.1, DomainError),
                                              (math.nan, DomainError), (1e-9, SizeCapError)])

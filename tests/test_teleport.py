@@ -94,6 +94,14 @@ class TestOutcomeTypes:
         with pytest.raises(DomainError):
             SingleModeState(np.array([0.5, 0.5]))
 
+    def test_bob_state_rejects_nan_amplitudes(self):
+        with pytest.raises(DomainError, match="norm"):
+            BobState(1, 1, np.array([math.nan, 0.0]))
+
+    def test_single_mode_rejects_nan_amplitudes(self):
+        with pytest.raises(DomainError, match="norm"):
+            SingleModeState(np.array([math.nan, 0.0]))
+
 
 class TestProbability:
     def test_frozen_value(self, unit_target, small_resource):
