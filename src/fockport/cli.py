@@ -12,14 +12,18 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
+import itertools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from ._version import __version__
 from .errors import DomainError
+from .quasi_epr import phase_distribution, resource_from_state
 from .states import coherent_coefficients
 from .su2 import SpinJ, SpinProjection, SpinState, basis_state, rotate_about_x
 from .sweep import (RESOURCE_KINDS, BetaGrid, SweepResult, SweepSpec,
@@ -27,41 +31,94 @@ from .sweep import (RESOURCE_KINDS, BetaGrid, SweepResult, SweepSpec,
 from .teleport import _mean_fidelity, evaluate_all, evaluate_outcome
 
 
-def _fmt(value, precision: int) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, float):
-        return "%.*g" % (precision, value)
-    return str(value)
+_NONE = type(None)
 
 
-def _json_value(value, precision: int):
-    if value is None or isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    # round through the same %g formatting as CSV so both formats agree
-    return float("%.*g" % (precision, float(value)))
+class _Verbatim(str):
+    """Text that a %r slot writes as it is: json's spelling of a non-finite float."""
+
+    __repr__ = str.__str__
+
+
+# %g text of a non-finite float -> what json writes for it
+_JSON_NON_FINITE = {"inf": _Verbatim("Infinity"), "-inf": _Verbatim("-Infinity"),
+                    "nan": _Verbatim("NaN")}
+
+
+class _RowRenderer:
+    """Renders table rows through one % template per tuple of cell types.
+
+    CSV (no keys): a line of %d for integers, %.{precision}g for floats, %s for
+    any other cell and nothing for None.  JSON (the column names as keys): an
+    object in json's indent=2 layout, with integers as %d, None as null,
+    strings escaped as json escapes them, and any other cell rounded through
+    %.{precision}g and written as json writes that float.
+    """
+
+    def __init__(self, precision: int, keys=None):
+        self.g = "%%.%dg" % precision
+        self.keys = keys
+        self.templates = {}
+
+    def __call__(self, row) -> str:
+        row = tuple(row)
+        types = tuple(map(type, row))
+        try:
+            template, fill = self.templates[types]
+        except KeyError:
+            template, fill = self.templates[types] = self._build(types)
+        return template % (row if fill is None else fill(row))
+
+    def _build(self, types):
+        """(template, fill): fill maps a row to the template's arguments, None if the row is."""
+        kinds = [None if t is _NONE else int if issubclass(t, (int, np.integer)) else
+                 float if issubclass(t, float) else str if issubclass(t, str) else object
+                 for t in types]
+        if self.keys is None:
+            slots = {None: "%.0s", int: "%d", float: self.g, str: "%s", object: "%s"}
+            return ",".join(slots[kind] for kind in kinds) + "\n", None
+        kinds = kinds[:len(self.keys)]
+        slots = {None: "null", int: "%d", float: "%r", str: "%s", object: "%r"}
+        items = [encode_basestring_ascii(key).replace("%", "%%") + ": " + slots[kind]
+                 for key, kind in zip(self.keys, kinds)]
+        template = "{\n      " + ",\n      ".join(items) + "\n    }" if items else "{}"
+        numbers = [kind in (float, object) for kind in kinds]
+        strings = [kind is str for kind in kinds]
+        # the arguments, in cell order, come from row + rounded numbers + escaped strings
+        number_at = itertools.count(len(types))
+        string_at = itertools.count(len(types) + sum(numbers))
+        order = [i if kind is int else next(string_at) if kind is str else next(number_at)
+                 for i, kind in enumerate(kinds) if kind is not None]
+        # the %g text of each number cell, space-separated; other cells write nothing
+        rounding = " ".join(self.g if number else "%.0s"
+                            for number in numbers + [False] * (len(types) - len(kinds)))
+        escape = any(strings)
+
+        def fill(row):
+            texts = (rounding % row).split()
+            merged = row + tuple(map(_JSON_NON_FINITE.get, texts, map(float, texts)))
+            if escape:
+                merged += tuple(map(encode_basestring_ascii, itertools.compress(row, strings)))
+            return tuple(map(merged.__getitem__, order))
+
+        return template, fill
 
 
 def write_csv(stream, columns, rows, precision: int):
     stream.write(",".join(columns) + "\n")
+    render = _RowRenderer(precision)
     for row in rows:
-        stream.write(",".join(_fmt(v, precision) for v in row) + "\n")
+        stream.write(render(row))
 
 
 def write_json(stream, meta, columns, rows, precision: int):
-    payload = {
-        "meta": meta,
-        "rows": [
-            {col: _json_value(v, precision) for col, v in zip(columns, row)}
-            for row in rows
-        ],
-    }
-    json.dump(payload, stream, indent=2)
-    stream.write("\n")
+    # the layout of json.dump({"meta": meta, "rows": [...]}, indent=2), one row at a time
+    stream.write('{\n  "meta": %s,\n  "rows": [' % json.dumps(meta, indent=2).replace("\n", "\n  "))
+    render, sep = _RowRenderer(precision, columns), "\n    "
+    for row in rows:
+        stream.write(sep + render(row))
+        sep = ",\n    "
+    stream.write("]\n}\n" if sep == "\n    " else "\n  ]\n}\n")
 
 
 def _emit(args, result: SweepResult) -> int:
@@ -77,16 +134,6 @@ def _emit(args, result: SweepResult) -> int:
         if out is not sys.stdout:
             out.close()
     return 0
-
-
-def _phase(z: complex) -> float:
-    # deterministic branch (-pi, pi], zero amplitude reported as 0.0
-    if z == 0:
-        return 0.0
-    p = math.atan2(z.imag, z.real)
-    if p <= -math.pi + 1e-12:
-        p = math.pi
-    return p
 
 
 def _angle_deg(value: float, name: str) -> float:
@@ -132,11 +179,12 @@ def cmd_rotate(args) -> int:
     else:
         state = basis_state(j, SpinProjection(args.m))
     rotated = rotate_about_x(state, math.radians(_angle_deg(args.beta_deg, "--beta-deg")))
-    rows = []
-    for i, amp in enumerate(rotated.amplitudes):
-        m_prime = (2 * i - args.n) / 2.0
-        rows.append((m_prime, float(amp.real), float(amp.imag),
-                     float(abs(amp)), _phase(complex(amp))))
+    amps = rotated.amplitudes
+    m_primes = (2 * np.arange(args.n + 1) - args.n) / 2.0
+    # deterministic branch (-pi, pi]; only an exactly zero amplitude reports phase 0.0
+    phases = phase_distribution(resource_from_state(rotated), zero_tol=math.ulp(0.0))
+    rows = list(zip(m_primes.tolist(), amps.real.tolist(), amps.imag.tolist(),
+                    np.abs(amps).tolist(), phases.tolist()))
     meta = {"kind": "rotate", "n": args.n, "beta_deg": args.beta_deg, "version": __version__}
     return _emit(args, SweepResult(("m_prime", "re", "im", "modulus", "phase"), rows, meta))
 
@@ -302,8 +350,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() once per process; parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

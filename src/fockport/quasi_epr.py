@@ -168,13 +168,14 @@ def quality(resource: QuasiEprResource) -> EprQualityReport:
     )
 
 
-def phase_distribution(resource: QuasiEprResource) -> np.ndarray:
-    """Per-component phases arg(s_n) in (-pi, pi]; zero amplitudes give 0.0.
+def phase_distribution(resource: QuasiEprResource, zero_tol: float = _ZERO_TOL) -> np.ndarray:
+    """Per-component phases arg(s_n) in (-pi, pi]; moduli below zero_tol give 0.0.
 
     Values within 1e-12 of -pi are mapped to +pi so the branch is
-    reproducible across platforms.
+    reproducible across platforms.  zero_tol = math.ulp(0.0), the smallest
+    positive float, zeroes exact zeros only.
     """
     phases = np.angle(resource.s)
-    phases[np.abs(resource.s) < _ZERO_TOL] = 0.0
+    phases[np.abs(resource.s) < zero_tol] = 0.0
     phases[phases <= -math.pi + 1e-12] = math.pi
     return phases

@@ -8,6 +8,7 @@ state whose amplitude index n runs over |n>|N-n>.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,10 +133,17 @@ def coherent_coefficients(alpha: float, tail_tol: float = 1e-12) -> CoherentTarg
     # Poisson weights p_k = e^{-a^2} a^{2k} / k!; cut where the tail drops
     # below tail_tol, then renormalize the kept mass to exactly 1
     mean = alpha * alpha
-    k_max = 0
+    if mean > 10000:  # k_max >= mean, and the cut may not pass k = 10000
+        raise DomainError(f"alpha = {alpha} needs more than 10000 coherent terms")
+    k = k_max = 0
     p = math.exp(-mean)
+    while p < sys.float_info.min:
+        # e^{-a^2} is subnormal or zero (a above ~26.6): start the sum at the
+        # first weight that is a normal float, found in log space; each weight
+        # skipped is below 1e-307
+        k = k_max = k + 1
+        p = math.exp(k * math.log(mean) - mean - math.lgamma(k + 1.0))
     cum = p
-    k = 0
     while 1.0 - cum >= tail_tol or k < mean:
         k += 1
         p *= mean / k

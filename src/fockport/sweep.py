@@ -7,6 +7,7 @@ angles at a time, so memory stays bounded); rows are emitted in canonical
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -20,7 +21,7 @@ from .quasi_epr import (FilterOrder, beta_q, filtered_input, ideal_resource,
 from .states import (RelativePhaseSpec, coherent_coefficients,
                      relative_phase_state)
 from .su2 import LANE_BUDGET
-from .teleport import _evaluate, evaluate_all, evaluate_outcome, high_fidelity_region
+from .teleport import _evaluate, evaluate_all, high_fidelity_region
 
 _DEFAULT_STEP = math.radians(0.5)
 
@@ -156,7 +157,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     for beta, resource in zip(betas, _grid_resources(spec.resource_kind, spec.N, betas)):
         rep = quality(resource)
         outcomes = (evaluate_all(target, resource, spec.parity_correction) if qs is None else
-                    [evaluate_outcome(target, resource, q, spec.parity_correction) for q in qs])
+                    _evaluate(target, resource, qs, spec.parity_correction))
         rows.extend((math.degrees(beta), res.q, res.fidelity, res.bound, res.probability,
                      rep.min_modulus, rep.zero_count, rep.flatness, rep.entropy)
                     for res in outcomes)
@@ -215,13 +216,10 @@ def _worst_fidelity(target, resource, qs) -> float:
 def _modulus_rows(kind: str, N: int, betas, with_phase: bool = False):
     rows = []
     for beta, resource in zip(betas, _grid_resources(kind, N, betas)):
-        mods = np.abs(resource.s)
+        cells = [np.abs(resource.s).tolist()]
         if with_phase:
-            phases = phase_distribution(resource)
-            rows.extend((math.degrees(beta), n, float(mods[n]), float(phases[n]))
-                        for n in range(N + 1))
-        else:
-            rows.extend((math.degrees(beta), n, float(mods[n])) for n in range(N + 1))
+            cells.append(phase_distribution(resource).tolist())
+        rows.extend(zip(itertools.repeat(math.degrees(beta)), range(N + 1), *cells))
     return rows
 
 

@@ -121,14 +121,19 @@ def _evaluate(target: CoherentTarget, resource: QuasiEprResource, qs,
               apply_parity_correction: bool):
     """Yield the TeleportOutcome of each q in qs; P and F sum over k = k0..q in order.
 
-    c_k is zero-padded to k = 0..N+k_max and s reversed once, so q's window is
-    the slice c[k0:q+1] against s_rev[N-q+k0:] = s_{q-k}.
+    c_k^2 over k = 0..N+k_max (zero-padded) and s_n, |s_n|^2 reversed are built
+    once, so q's window is the slice [k0:q+1] of the first against [N-q+k0:] of
+    the others (s_{q-k}).  Consecutive q with the same bound window (k0, min(q,
+    k_max)) share one bound sum.
     """
     N, k_max = resource.N, target.k_max
-    c = np.concatenate((target.coeffs, np.zeros(N)))
+    c2 = np.concatenate((target.coeffs, np.zeros(N))) ** 2
     s_rev = np.ascontiguousarray(resource.s[::-1])
+    s2_rev = np.abs(s_rev) ** 2
     # parity phase table over k = 0..N+k_max for q % 2, built when first needed
     factors = functools.cache(lambda odd: _parity_factors(np.arange(N + k_max + 1), odd))
+    add = np.add.reduce
+    window = bound = None
     for q in qs:
         if q < 0:
             raise DomainError(f"q must be non-negative, got {q}")
@@ -136,12 +141,18 @@ def _evaluate(target: CoherentTarget, resource: QuasiEprResource, qs,
             yield TeleportOutcome(q, None, 0.0, 0.0)
             continue
         k0 = max(0, q - N)
-        w = c[k0:q + 1] ** 2
-        sv = s_rev[N - q + k0:]
-        p = float(np.sum(w * np.abs(sv) ** 2))
-        num_vec = w * sv * factors(q % 2)[k0:q + 1] if apply_parity_correction else w * sv
-        f = None if p <= 0.0 else float(abs(np.sum(num_vec)) ** 2 / p)
-        yield TeleportOutcome(q, f, float(np.sum(w[:min(q, k_max) - k0 + 1])), p)
+        w = c2[k0:q + 1]
+        lo = N - q + k0
+        p = float(add(w * s2_rev[lo:]))
+        num_vec = w * s_rev[lo:]
+        if apply_parity_correction:
+            num_vec *= factors(q % 2)[k0:q + 1]
+        f = None if p <= 0.0 else float(abs(add(num_vec)) ** 2 / p)
+        hi = min(q, k_max)
+        if window != (k0, hi):
+            window = (k0, hi)
+            bound = float(add(w[:hi - k0 + 1]))
+        yield TeleportOutcome(q, f, bound, p)
 
 
 def evaluate_all(target: CoherentTarget, resource: QuasiEprResource,

@@ -1,7 +1,8 @@
 """Byte-stable CLI output: default-precision datasets hash to pinned SHA-256 values.
 
-The figure digests are the ones the benchmark checks (perfbench/data);
-the teleport digests pin the README's `--all-q` example.  The dense rotate
+The figure CSV digests are the ones the benchmark checks (perfbench/data);
+the figure JSON digests pin the second format of the same datasets, and the
+teleport digests pin the README's `--all-q` example.  The dense rotate
 (N = 300) and relative-phase-input sweep (N = 60) digests reach sizes the
 figures do not: every column of a rotation runs through the kernel at once.
 A change in any hash means the printed numbers changed, not just the speed.
@@ -66,3 +67,27 @@ def test_relative_phase_sweep_digest(capsys, tmp_path):
                     "beta_stop_deg = 90\nbeta_step_deg = 1.5\nalpha = 2\nq_list = all\n"
                     "parity_correction = true\n")
     assert stdout_digest(capsys, ["sweep", "--spec-file", str(spec)]) == RELATIVE_PHASE_SWEEP_DIGEST
+
+
+FIGURE_JSON_DIGESTS = {
+    ("1", "12"): "a4c822e8903818d8f404a5417b54e2b4111ba9d7050db2b0b5f47aac50d54a3d",
+    ("2", "12"): "32f099ee8b113d6c5c974c29b851dbb8fffd0bee1e980fa9a52530f1ce160651",
+    ("3", "12"): "c6c6c78f8f31135a52f872c1c1346c52d798ffc01867b1d230516e7fb4277617",
+    ("4", "12"): "e15646a7b1184d330053eb9ac3375a7ca27726287c5be02eb58aa3c91e0c7368",
+    ("5", "12"): "18d532a48ef05e73e9a49eedd197c7dce9270b4fc13eac61ff48cf3be6b9773a",
+    ("6", "12"): "ad19157fd86365bfe848c24cf85766557c009a12c7d489405df703d64d7213b0",
+    ("7", "12"): "7f105b4856b57af507ab2d1ce4225f5e835e177f0d79a92ee7709aafb88bbc30",
+    ("6", "17"): "6c0150fba13bf48890821620453d456c619dcba7366a132c7a085198a28c9eb4",
+}
+FIGURE_6_CSV_17_DIGEST = "2d716ebac9680584979eceb490f1ef0dd6e9583c02d028ddae70da02a0e95175"
+
+
+@pytest.mark.parametrize("figure_id,precision", sorted(FIGURE_JSON_DIGESTS))
+def test_figure_json_digest(capsys, figure_id, precision):
+    argv = ["figure", "--id", figure_id, "--format", "json", "--precision", precision]
+    assert stdout_digest(capsys, argv) == FIGURE_JSON_DIGESTS[figure_id, precision]
+
+
+def test_figure_6_full_precision_csv_digest(capsys):
+    argv = ["figure", "--id", "6", "--precision", "17"]
+    assert stdout_digest(capsys, argv) == FIGURE_6_CSV_17_DIGEST

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fockport
 from fockport import RESOURCE_KINDS, SpinJ, SpinProjection, wigner_d_column
 from fockport.cli import main
 
@@ -264,6 +269,16 @@ class TestTeleport:
         )
         assert code == 2
         assert "--beta-deg" in err
+
+    def test_alpha_past_exp_underflow(self, capsys):
+        # e^{-alpha^2} underflows to 0 at alpha = 27.5; the target is still built
+        code, out, err = run_cli(
+            capsys,
+            ["teleport", "--resource", "j0", "--n", "20", "--beta-deg", "85",
+             "--alpha", "27.5", "--q", "10"],
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].startswith("10,")
 
     @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
     def test_non_finite_alpha_is_domain_error(self, capsys, alpha):
@@ -527,3 +542,28 @@ class TestTopLevel:
     def test_no_command_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, [])
         assert code == 2
+
+    def test_consecutive_calls_match_calls_alone(self, capsys, monkeypatch, tmp_path):
+        # main() reuses one parser per process: a call must print what it prints alone
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage text to this width
+        spec = tmp_path / "spec.txt"
+        spec.write_text(SPEC_TEXT)
+        argvs = [
+            ["teleport", "--resource", "j0", "--n", "20", "--beta-deg", "85.5", "--alpha", "3",
+             "--all-q", "--format", "json", "--parity-correction", "--precision", "7"],
+            ["teleport", "--resource", "2pt", "--n", "21", "--alpha", "1", "--q", "3"],
+            ["teleport", "--resource", "ideal", "--n", "6", "--q", "3"],
+            ["rotate", "--n", "4", "--beta-deg", "90"],
+            ["sweep", "--spec-file", str(spec)],
+        ]
+        together = [run_cli(capsys, argv) for argv in argvs]
+        src = str(Path(fockport.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        alone = [subprocess.Popen([sys.executable, "-m", "fockport.cli", *argv], env=env,
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+                 for argv in argvs]
+        for argv, got, proc in zip(argvs, together, alone):
+            out, err = proc.communicate(timeout=60)
+            assert got == (proc.returncode, out, err), argv
+        assert [code for code, _, _ in together] == [0, 2, 0, 2, 0]

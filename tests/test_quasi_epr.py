@@ -271,6 +271,16 @@ class TestPhaseDistribution:
         assert np.all(phases > -PI)
         assert np.all(phases <= PI)
 
+    def test_zero_tolerance(self):
+        # signed exact zeros and a 1e-13 amplitude (phase -pi/2), as rotate and resources see them
+        amps = np.array([complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                         -1e-13j, 1.0])
+        resource = QuasiEprResource(4, amps)
+        assert phase_distribution(resource).tolist() == [0.0] * 5
+        exact = phase_distribution(resource, zero_tol=math.ulp(0.0))
+        assert exact.tolist() == [0.0, 0.0, 0.0, -PI / 2, 0.0]
+        assert math.copysign(1.0, exact[1]) == 1.0
+
     def test_nonuniform_phases_away_from_balanced(self):
         resource = make_resource(filtered_input(20, FilterOrder(0)), beta_q(20))
         phases = phase_distribution(resource)

@@ -13,10 +13,13 @@ from fockport import (
     SpinJ,
     SpinProjection,
     TwoModeIndex,
+    beta_q,
     coherent_coefficients,
+    evaluate_all,
     general_phase_state,
     phase_shift,
     relative_phase_state,
+    resource_for_kind,
     spin_to_two_mode,
     two_mode_to_spin,
 )
@@ -156,3 +159,56 @@ class TestCoherentTarget:
     def test_length_validation(self):
         with pytest.raises(DomainError):
             CoherentTarget(1.0, 3, np.array([1.0, 0.0]))
+
+
+def reference_coherent(alpha, tail_tol=1e-12):
+    """(k_max, coeffs) as coherent_coefficients computed them with a forward sum from k = 0."""
+    mean = alpha * alpha
+    k_max = 0
+    p = math.exp(-mean)
+    cum = p
+    k = 0
+    while 1.0 - cum >= tail_tol or k < mean:
+        k += 1
+        p *= mean / k
+        cum += p
+        k_max = k
+    ks = np.arange(k_max + 1)
+    log_c = -mean / 2.0 + ks * math.log(alpha) - 0.5 * np.array(
+        [math.lgamma(kk + 1.0) for kk in ks])
+    c = np.exp(log_c)
+    c /= np.linalg.norm(c)
+    return k_max, c
+
+
+def poisson_tail(alpha, k_max):
+    """Poisson mass beyond k_max, summed in log space."""
+    mean = alpha * alpha
+    ks = np.arange(k_max + 1, k_max + 2000)
+    log_p = ks * math.log(mean) - mean - np.array([math.lgamma(k + 1.0) for k in ks])
+    return float(np.exp(log_p).sum())
+
+
+class TestCoherentLargeAlpha:
+    # e^{-alpha^2} stays a normal float up to alpha ~ 26.6; every such alpha keeps
+    # the truncation and the coefficient bytes of the forward sum from k = 0
+    @pytest.mark.parametrize("tail_tol", [1e-12, 1e-6])
+    def test_normal_start_keeps_forward_sum(self, tail_tol):
+        for alpha in [1e-200, 1e-3] + list(np.arange(0.05, 26.6, 0.11)) + [26.61]:
+            alpha = float(alpha)
+            k_max, coeffs = reference_coherent(alpha, tail_tol)
+            target = coherent_coefficients(alpha, tail_tol)
+            assert target.k_max == k_max, alpha
+            assert target.coeffs.tobytes() == coeffs.tobytes(), alpha
+
+    @pytest.mark.parametrize("alpha", [26.7, 27.25, 27.5, 30.0, 60.0])
+    def test_past_exp_underflow(self, alpha):
+        target = coherent_coefficients(alpha)
+        assert target.k_max >= alpha * alpha
+        assert target.weights().sum() == pytest.approx(1.0, abs=1e-14)
+        assert poisson_tail(alpha, target.k_max) < 1.5e-12
+        assert poisson_tail(alpha, target.k_max - 1) > 0.5e-12
+        resource = resource_for_kind("j0", 20, beta_q(20))
+        for row in evaluate_all(target, resource, True):
+            if row.fidelity is not None:
+                assert row.fidelity <= row.bound + 1e-12

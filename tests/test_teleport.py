@@ -37,6 +37,8 @@ from fockport import (
     shifted_phase_operator_note,
 )
 
+from fockport.sweep import BetaGrid, SweepSpec, run_sweep
+
 PI = math.pi
 
 
@@ -485,6 +487,35 @@ class TestExactnessCoverage:
         with pytest.raises(ImpossibleOutcomeError):
             fidelity(target, resource, 3, parity)
         assert evaluate_outcome(target, resource, 3, parity) == TeleportOutcome(3, None, 1.0, 0.0)
+
+
+class TestExactnessLongWindowsAndSweeps:
+    @pytest.mark.parametrize("parity", [False, True])
+    def test_windows_past_the_pairwise_block_match_reference(self, parity):
+        # numpy sums more than 128 elements pairwise in blocks; most windows here do
+        resource = resource_for_kind("j0", 600, math.radians(89.85))
+        target = coherent_coefficients(8.0)
+        rows = evaluate_all(target, resource, parity)
+        assert sum(row.q - max(0, row.q - 600) >= 128 for row in rows) > 500
+        for row in rows:
+            assert (row.fidelity, row.bound, row.probability) == reference_outcome(
+                target, resource, row.q, parity)
+
+    @pytest.mark.parametrize("parity", [False, True])
+    @pytest.mark.parametrize("kind,n", [("j0", 40), ("2pt", 41), ("relative-phase-input", 30)])
+    def test_sweep_with_q_list_matches_reference(self, kind, n, parity):
+        q_list = [0, 3, 17, n, n + 30, 9, 9]
+        spec = SweepSpec(kind, n, BetaGrid(math.radians(45), math.radians(90), math.radians(2.5)),
+                         alpha=2.0, q_list=q_list, parity_correction=parity)
+        rows = run_sweep(spec).rows
+        betas = spec.beta_grid.values()
+        assert len(rows) == len(betas) * len(q_list)
+        target = coherent_coefficients(2.0)
+        for i, beta in enumerate(betas):
+            resource = resource_for_kind(kind, n, beta)
+            for row, q in zip(rows[i * len(q_list):], q_list):
+                assert row[:2] == (math.degrees(beta), q)
+                assert row[2:5] == reference_outcome(target, resource, q, parity)
 
 
 class TestEdgeBehaviour:

@@ -1,0 +1,107 @@
+"""CSV and JSON writers: the template renderer writes the same bytes as the old writers.
+
+reference_write_csv and reference_write_json are the writers as they were
+before rows were rendered through cached % templates (cell by cell through
+_fmt / _json_value, and json.dump with indent=2).  Every table below must come
+out byte for byte the same from cli.write_csv and cli.write_json.
+"""
+
+import io
+import json
+import math
+
+import numpy as np
+import pytest
+
+from fockport.cli import write_csv, write_json
+
+
+def _fmt(value, precision: int) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, float):
+        return "%.*g" % (precision, value)
+    return str(value)
+
+
+def _json_value(value, precision: int):
+    if value is None or isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    # round through the same %g formatting as CSV so both formats agree
+    return float("%.*g" % (precision, float(value)))
+
+
+def reference_write_csv(stream, columns, rows, precision: int):
+    stream.write(",".join(columns) + "\n")
+    for row in rows:
+        stream.write(",".join(_fmt(v, precision) for v in row) + "\n")
+
+
+def reference_write_json(stream, meta, columns, rows, precision: int):
+    payload = {
+        "meta": meta,
+        "rows": [
+            {col: _json_value(v, precision) for col, v in zip(columns, row)}
+            for row in rows
+        ],
+    }
+    json.dump(payload, stream, indent=2)
+    stream.write("\n")
+
+
+COLUMNS = ("q", "fidelity", "bound", "probability")
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan,
+               1.0, 100.0, 1e-5, 1e16, 0.1, 2.0 / 3.0, 123456789012345.67]
+
+TABLES = {
+    "empty": (COLUMNS, []),
+    "teleport": (COLUMNS, [(0, 0.25, 1.0, 0.5), (1, None, 0.75, 0.0),
+                           (2, 0.9927, 0.999, 1e-20), ("average", 0.875, None, None)]),
+    "edge floats": (("x", "y"), [(i, v) for i, v in enumerate(EDGE_FLOATS)]),
+    "numpy cells": (COLUMNS, [(np.int64(3), np.float64(0.1), np.float64(-0.0), np.int64(-7)),
+                              (np.int32(2), np.float32(0.1), np.bool_(True), np.uint8(255))]),
+    "int and bool": (("a", "b", "c"), [(True, False, 2 ** 70), (-5, 0, np.int64(2 ** 62))]),
+    "escaping": (("name", "50%", 'say "hi"'),
+                 [('a "quoted" \\ path\n\ttab é ✓ %s %d', 1.5, "x"), ("average", None, "%")]),
+    "signature changes": (COLUMNS, [(0, 0.5, 0.5, 0.5), (1, None, 0.5, 0.0), (2, 0.5, 0.5, 0.5),
+                                    ("average", 0.5, None, None), (3, 0.25, 1, np.float64(1.5)),
+                                    [4, 0.125, 0.5, 0.25]]),
+    "all none": (("a", "b"), [(None, None), ()]),
+    "ragged": (("a", "b", "c"), [(1.5,), (1, 2.5, 3, 4.5, "extra"), (0.5, 0.25, 0.125)]),
+}
+META = {"kind": "teleport", "n": 20, "beta_deg": 85.5, "alpha": 3.0, "flag": True,
+        "spec": {"q_list": [1, 2, {"deep": [None, -0.0, math.inf]}], "empty": {}, "none": []},
+        "text": 'a "b" \\ é'}
+
+
+@pytest.mark.parametrize("precision", [1, 12, 17])
+@pytest.mark.parametrize("table", sorted(TABLES))
+def test_csv_matches_reference(table, precision):
+    columns, rows = TABLES[table]
+    got, want = io.StringIO(), io.StringIO()
+    write_csv(got, columns, rows, precision)
+    reference_write_csv(want, columns, rows, precision)
+    assert got.getvalue() == want.getvalue()
+
+
+@pytest.mark.parametrize("meta", [META, {}], ids=["nested meta", "empty meta"])
+@pytest.mark.parametrize("precision", [1, 12, 17])
+@pytest.mark.parametrize("table", sorted(TABLES))
+def test_json_matches_reference(table, precision, meta):
+    columns, rows = TABLES[table]
+    got, want = io.StringIO(), io.StringIO()
+    write_json(got, meta, columns, rows, precision)
+    reference_write_json(want, meta, columns, rows, precision)
+    assert got.getvalue() == want.getvalue()
+
+
+def test_rows_may_be_a_generator():
+    columns, rows = TABLES["teleport"]
+    got, want = io.StringIO(), io.StringIO()
+    write_json(got, META, columns, iter(rows), 12)
+    reference_write_json(want, META, columns, rows, 12)
+    assert got.getvalue() == want.getvalue()
