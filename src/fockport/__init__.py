@@ -8,7 +8,7 @@ EPR-like flat states, and evaluates conditional teleportation fidelity.
 
 from ._version import __version__
 from .errors import DomainError, ImpossibleOutcomeError, SizeCapError
-from .su2 import (BeamSplitterAngle, SpinJ, SpinProjection, SpinState,
+from .su2 import (MAX_TWICE_J, BeamSplitterAngle, SpinJ, SpinProjection, SpinState,
                   WignerColumn, basis_state, brute_force_rotation, phase_shift,
                   rotate_about_x, rotate_about_x_grid, wigner_d_column,
                   wigner_d_element)
@@ -19,12 +19,11 @@ from .quasi_epr import (EprQualityReport, FilterOrder, QuasiEprResource,
                         beta_q, f_coefficient, filtered_input, ideal_resource,
                         make_resource, make_resources, phase_distribution,
                         quality, resource_from_state)
-from .teleport import (BobState, MeasurementOutcome, ShiftedPhaseOperator,
-                       SingleModeState, TeleportOutcome, average_fidelity,
-                       evaluate_all, evaluate_outcome, fidelity, fidelity_bound,
+from .teleport import (BobState, MeasurementOutcome, SingleModeState,
+                       TeleportOutcome, average_fidelity, evaluate_all,
+                       evaluate_outcome, fidelity, fidelity_bound,
                        high_fidelity_region, outcome_probability,
-                       parity_phase_correction, post_measurement_state,
-                       reconstruct, shifted_phase_operator_note)
+                       parity_phase_correction, post_measurement_state, reconstruct)
 from .sweep import (MAX_GRID_POINTS, RESOURCE_KINDS, BetaGrid, SweepResult,
                     SweepSpec, figure_dataset, find_beta_q_numeric,
                     resource_for_kind, resources_for_kind, run_sweep)
@@ -32,7 +31,7 @@ from .sweep import (MAX_GRID_POINTS, RESOURCE_KINDS, BetaGrid, SweepResult,
 __all__ = [
     "__version__",
     "DomainError", "ImpossibleOutcomeError", "SizeCapError",
-    "SpinJ", "SpinProjection", "SpinState", "WignerColumn", "BeamSplitterAngle",
+    "MAX_TWICE_J", "SpinJ", "SpinProjection", "SpinState", "WignerColumn", "BeamSplitterAngle",
     "basis_state", "wigner_d_element", "wigner_d_column", "brute_force_rotation",
     "rotate_about_x", "rotate_about_x_grid", "phase_shift",
     "TwoModeIndex", "two_mode_to_spin", "spin_to_two_mode",
@@ -43,7 +42,6 @@ __all__ = [
     "f_coefficient", "filtered_input", "beta_q", "make_resource", "make_resources",
     "ideal_resource", "resource_from_state", "quality", "phase_distribution",
     "MeasurementOutcome", "BobState", "SingleModeState", "TeleportOutcome",
-    "ShiftedPhaseOperator", "shifted_phase_operator_note",
     "post_measurement_state", "reconstruct", "parity_phase_correction",
     "fidelity", "fidelity_bound", "outcome_probability", "average_fidelity",
     "high_fidelity_region", "evaluate_outcome", "evaluate_all",

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
-import itertools
 import json
 import math
 import sys
@@ -31,18 +30,8 @@ from .sweep import (RESOURCE_KINDS, BetaGrid, SweepResult, SweepSpec,
 from .teleport import _mean_fidelity, evaluate_all, evaluate_outcome
 
 
-_NONE = type(None)
-
-
-class _Verbatim(str):
-    """Text that a %r slot writes as it is: json's spelling of a non-finite float."""
-
-    __repr__ = str.__str__
-
-
 # %g text of a non-finite float -> what json writes for it
-_JSON_NON_FINITE = {"inf": _Verbatim("Infinity"), "-inf": _Verbatim("-Infinity"),
-                    "nan": _Verbatim("NaN")}
+_JSON_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
 class _RowRenderer:
@@ -50,9 +39,9 @@ class _RowRenderer:
 
     CSV (no keys): a line of %d for integers, %.{precision}g for floats, %s for
     any other cell and nothing for None.  JSON (the column names as keys): an
-    object in json's indent=2 layout, with integers as %d, None as null,
-    strings escaped as json escapes them, and any other cell rounded through
-    %.{precision}g and written as json writes that float.
+    object in json's indent=2 layout with None as null and each other cell as
+    text converted once: integers as %d, strings escaped as json escapes them,
+    any other cell rounded through %.{precision}g and written as json writes it.
     """
 
     def __init__(self, precision: int, keys=None):
@@ -69,37 +58,28 @@ class _RowRenderer:
             template, fill = self.templates[types] = self._build(types)
         return template % (row if fill is None else fill(row))
 
+    def _number(self, value) -> str:
+        text = self.g % value
+        return _JSON_NON_FINITE.get(text) or repr(float(text))
+
     def _build(self, types):
         """(template, fill): fill maps a row to the template's arguments, None if the row is."""
-        kinds = [None if t is _NONE else int if issubclass(t, (int, np.integer)) else
+        kinds = [None if t is type(None) else int if issubclass(t, (int, np.integer)) else
                  float if issubclass(t, float) else str if issubclass(t, str) else object
                  for t in types]
         if self.keys is None:
             slots = {None: "%.0s", int: "%d", float: self.g, str: "%s", object: "%s"}
             return ",".join(slots[kind] for kind in kinds) + "\n", None
         kinds = kinds[:len(self.keys)]
-        slots = {None: "null", int: "%d", float: "%r", str: "%s", object: "%r"}
-        items = [encode_basestring_ascii(key).replace("%", "%%") + ": " + slots[kind]
+        to_text = {int: "%d".__mod__, str: encode_basestring_ascii,
+                   float: self._number, object: self._number}
+        items = [encode_basestring_ascii(key).replace("%", "%%") + (": %s" if kind else ": null")
                  for key, kind in zip(self.keys, kinds)]
         template = "{\n      " + ",\n      ".join(items) + "\n    }" if items else "{}"
-        numbers = [kind in (float, object) for kind in kinds]
-        strings = [kind is str for kind in kinds]
-        # the arguments, in cell order, come from row + rounded numbers + escaped strings
-        number_at = itertools.count(len(types))
-        string_at = itertools.count(len(types) + sum(numbers))
-        order = [i if kind is int else next(string_at) if kind is str else next(number_at)
-                 for i, kind in enumerate(kinds) if kind is not None]
-        # the %g text of each number cell, space-separated; other cells write nothing
-        rounding = " ".join(self.g if number else "%.0s"
-                            for number in numbers + [False] * (len(types) - len(kinds)))
-        escape = any(strings)
+        cells = [(i, to_text[kind]) for i, kind in enumerate(kinds) if kind]
 
         def fill(row):
-            texts = (rounding % row).split()
-            merged = row + tuple(map(_JSON_NON_FINITE.get, texts, map(float, texts)))
-            if escape:
-                merged += tuple(map(encode_basestring_ascii, itertools.compress(row, strings)))
-            return tuple(map(merged.__getitem__, order))
+            return tuple([convert(row[i]) for i, convert in cells])
 
         return template, fill
 

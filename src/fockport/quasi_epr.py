@@ -142,6 +142,7 @@ def ideal_resource(N: int) -> QuasiEprResource:
     """Perfectly flat resource s_n = 1/sqrt(N+1)."""
     if N < 0:
         raise DomainError(f"N must be >= 0, got {N}")
+    SpinJ(N)  # the photon-number cap, before the amplitudes are allocated
     return QuasiEprResource(N, np.full(N + 1, 1.0 / math.sqrt(N + 1), dtype=complex))
 
 

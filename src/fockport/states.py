@@ -68,9 +68,9 @@ class RelativePhaseSpec:
 
 def relative_phase_state(spec: RelativePhaseSpec) -> SpinState:
     """Equal-modulus state sum_n e^{i n phi_r} |n>|N-n> / sqrt(N+1)."""
-    n = np.arange(spec.N + 1)
-    amps = np.exp(1j * spec.phi * n) / math.sqrt(spec.N + 1)
-    return SpinState(SpinJ(spec.N), amps)
+    j = SpinJ(spec.N)  # the photon-number cap, before the amplitudes are allocated
+    amps = np.exp(1j * spec.phi * np.arange(spec.N + 1)) / math.sqrt(spec.N + 1)
+    return SpinState(j, amps)
 
 
 @dataclass(frozen=True)
@@ -128,12 +128,14 @@ def coherent_coefficients(alpha: float, tail_tol: float = 1e-12) -> CoherentTarg
     """Coherent-state coefficient vector truncated at tail mass < tail_tol."""
     if not math.isfinite(alpha) or alpha < 0:
         raise DomainError(f"alpha must be finite and non-negative, got {alpha}")
+    if not tail_tol > 0.0:  # no truncation leaves a tail of zero mass
+        raise DomainError(f"tail_tol must be positive, got {tail_tol}")
     if alpha == 0.0:
         return CoherentTarget(0.0, 0, np.array([1.0]))
     # Poisson weights p_k = e^{-a^2} a^{2k} / k!; cut where the tail drops
     # below tail_tol, then renormalize the kept mass to exactly 1
     mean = alpha * alpha
-    if mean > 10000:  # k_max >= mean, and the cut may not pass k = 10000
+    if mean > 10000:  # k_max >= mean
         raise DomainError(f"alpha = {alpha} needs more than 10000 coherent terms")
     k = k_max = 0
     p = math.exp(-mean)
@@ -143,17 +145,32 @@ def coherent_coefficients(alpha: float, tail_tol: float = 1e-12) -> CoherentTarg
         # skipped is below 1e-307
         k = k_max = k + 1
         p = math.exp(k * math.log(mean) - mean - math.lgamma(k + 1.0))
-    cum = p
-    while 1.0 - cum >= tail_tol or k < mean:
-        k += 1
-        p *= mean / k
-        cum += p
+    if k:
+        # each weight from here on carries the rounding of the start's large
+        # exponent (about 7e-12 relative at alpha = 80), so judge the tail
+        # against the mass the weights sum to, not against 1, and sum the tail
+        # from its small end; weights below 1e-6 tail_tol past the mode are dropped
+        weights = [p]
+        while k < mean or weights[-1] > 1e-6 * tail_tol:
+            k += 1
+            weights.append(weights[-1] * mean / k)
+        total, tail = sum(weights), 0.0
+        while k - 1 >= mean and tail + weights[-1] < tail_tol * total:
+            tail += weights.pop()
+            k -= 1
         k_max = k
-        if k > 10000:
-            raise DomainError("coherent truncation failed to converge")
+    else:
+        cum = p
+        while 1.0 - cum >= tail_tol or k < mean:
+            k += 1
+            p *= mean / k
+            cum += p
+            k_max = k
+            if k > 10000:
+                raise DomainError("coherent truncation failed to converge")
     ks = np.arange(k_max + 1)
     log_c = -mean / 2.0 + ks * math.log(alpha) - 0.5 * np.array(
-        [math.lgamma(kk + 1.0) for kk in ks])
+        [math.lgamma(k + 1.0) for k in range(k_max + 1)])
     c = np.exp(log_c)
     c /= np.linalg.norm(c)
     return CoherentTarget(alpha, k_max, c)

@@ -39,6 +39,11 @@ LANE_BUDGET = 1 << 15
 _SCALAR_LANES = 16
 _GLUE_HALF_WIDTH = 20  # branches are glued within this many entries of the band centre
 
+# Largest photon number N = twice_j that SpinJ accepts, checked before any
+# state vector is allocated.  A basis-state rotation at the cap peaks at about
+# 340 MB; far beyond it numpy cannot allocate the dense vectors at all.
+MAX_TWICE_J = 1_000_000
+
 
 @dataclass(frozen=True)
 class SpinJ:
@@ -49,6 +54,9 @@ class SpinJ:
     def __post_init__(self):
         if not isinstance(self.twice_j, (int, np.integer)) or self.twice_j < 0:
             raise DomainError(f"twice_j must be a non-negative integer, got {self.twice_j!r}")
+        if self.twice_j > MAX_TWICE_J:
+            raise SizeCapError(f"photon number N = twice_j = {self.twice_j} exceeds the cap "
+                               f"{MAX_TWICE_J}")
 
     @property
     def j(self) -> float:

@@ -97,26 +97,6 @@ class TeleportOutcome:
     probability: float
 
 
-@dataclass(frozen=True)
-class ShiftedPhaseOperator:
-    """Bookkeeping for measuring the resource-offset relative phase on Alice's side.
-
-    Shifting the measured operator by the resource phase offset is the same
-    as relabeling the projection phase: the projector uses phase - offset,
-    after which Bob corrects with the bare measurement label only.
-    """
-
-    resource_offset: float
-
-    def measurement_phase(self, outcome: MeasurementOutcome) -> float:
-        return outcome.phase - self.resource_offset
-
-
-def shifted_phase_operator_note(resource_phase_offset: float) -> ShiftedPhaseOperator:
-    """Descriptor for the Alice-side alternative to Bob's resource phase shift."""
-    return ShiftedPhaseOperator(resource_phase_offset)
-
-
 def _evaluate(target: CoherentTarget, resource: QuasiEprResource, qs,
               apply_parity_correction: bool):
     """Yield the TeleportOutcome of each q in qs; P and F sum over k = k0..q in order.
@@ -177,8 +157,8 @@ def post_measurement_state(target: CoherentTarget, resource: QuasiEprResource,
     """Bob's mode after Alice measures (q, phi^{(q)}_s).
 
     Amplitudes are C(q) e^{-i k phi} c_k s_{q-k} at Fock index k+N-q with
-    C(q) = P(q)^{-1/2}.  measurement_phase overrides phi^{(q)}_s (used by
-    the shifted-operator bookkeeping).
+    C(q) = P(q)^{-1/2}.  measurement_phase overrides phi^{(q)}_s, e.g. with
+    phi - offset to measure a resource phase offset on Alice's side.
     """
     q = outcome.q
     weight = outcome_probability(target, resource, q)

@@ -2,13 +2,18 @@
 
 Every run must end in a documented way: exit 0 with finite output, 2 (usage
 error) or 3 (domain error).  No exception may escape main, and no successful
-run may print NaN.  Photon numbers stay small so that every case is cheap.
+run may print NaN.  Photon numbers stay small so that every case is cheap;
+huge ones run in a child process under an address-space limit.
 """
 
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 
+import fockport
 from fockport.cli import main
 
 SEED = 20261018
@@ -92,3 +97,53 @@ def test_cli_boundary_fuzz(capsys, tmp_path):
         assert code in (0, 2, 3), f"case {case}: exit {code} for {label!r}"
         if code == 0:
             assert not re.search(r"\bnan\b", out, re.IGNORECASE), f"case {case}: NaN for {label!r}"
+
+
+# Photon numbers far past the cap, just past it, and negative.  Each case must
+# end in a one-line error before any state vector is allocated: exit 3, or 2 for
+# a sweep spec that fails validation.  The cases run in a child process whose
+# address space is capped, so that a missed check fails with numpy's memory
+# error instead of allocating gigabytes here.
+HUGE_N = ["100000000", "1000000000", "1000000000000", "1000002"]
+NEGATIVE_N = ["-1", "-1000000000000"]
+
+_CHILD = """
+import json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from fockport.cli import main
+for argv in json.loads(sys.argv[1]):
+    print(main(argv), flush=True)
+"""
+
+
+def _boundary_cases(tmp_path):
+    """(argv, exit code, text the error must hold) for huge and negative --n, --m and spec n."""
+    cases = [(["rotate", "--n", "10", "--m", m, "--beta-deg", "45"], 3, "exceeds j")
+             for m in ("1000000000000", "-1000000000000")]
+    for i, n in enumerate(HUGE_N + NEGATIVE_N):
+        huge = n in HUGE_N
+        cases.append((["rotate", "--n", n, "--m", "0", "--beta-deg", "45"], 3,
+                       "exceeds the cap" if huge else "non-negative"))
+        for kind in ("ideal", "j0", "relative-phase-input"):
+            cases.append((["teleport", "--resource", kind, "--n", n, "--beta-deg", "85",
+                           "--alpha", "1", "--q", "3"], 3, "exceeds the cap" if huge else "N"))
+        spec = tmp_path / f"spec{i}.json"
+        spec.write_text(json.dumps(dict(SPEC_BASE, n=int(n))))
+        cases.append((["sweep", "--spec-file", str(spec)], 3 if huge else 2,
+                       "exceeds the cap" if huge else "positive integer"))
+    return cases
+
+
+def test_huge_and_negative_photon_numbers(tmp_path):
+    src = os.path.dirname(os.path.dirname(fockport.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    cases = _boundary_cases(tmp_path)
+    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps([c[0] for c in cases])],
+                          env=env, capture_output=True, text=True, timeout=120)
+    codes = proc.stdout.split()
+    errors = proc.stderr.splitlines()
+    assert len(codes) == len(errors) == len(cases), proc.stderr[-2000:]
+    for (argv, code, text), got, error in zip(cases, codes, errors):
+        label = " ".join(argv)
+        assert got == str(code), f"exit {got} for {label}: {error}"
+        assert error.startswith("fockport: error: ") and text in error, (label, error)

@@ -24,7 +24,7 @@ from fockport import (
     two_mode_to_spin,
 )
 
-from conftest import align_phase
+from conftest import align_phase, mpmath
 
 
 class TestIndexing:
@@ -212,3 +212,39 @@ class TestCoherentLargeAlpha:
         for row in evaluate_all(target, resource, True):
             if row.fidelity is not None:
                 assert row.fidelity <= row.bound + 1e-12
+
+    def test_dense_grid_up_to_98(self):
+        # the weights found in log space carry a relative error of ~1e-11; judged
+        # against 1, their tail never fell below 1e-12 for about one alpha in five
+        # from 49.55 up, and the truncation failed to converge
+        for alpha in list(np.linspace(26.0, 98.0, 289)) + [100.0]:
+            alpha = float(alpha)
+            target = coherent_coefficients(alpha)
+            assert target.k_max >= alpha * alpha, alpha
+            assert target.weights().sum() == pytest.approx(1.0, abs=1e-14), alpha
+            assert poisson_tail(alpha, target.k_max) < 1e-12, alpha
+        with pytest.raises(DomainError, match="10000 coherent terms"):
+            coherent_coefficients(100.001)
+
+    @pytest.mark.parametrize("tail_tol", [0.0, -1.0, math.nan])
+    def test_tail_tol_must_be_positive(self, tail_tol):
+        with pytest.raises(DomainError, match="tail_tol"):
+            coherent_coefficients(40.0, tail_tol)
+
+    @pytest.mark.parametrize("alpha", [49.55, 80.0, 90.0])
+    def test_against_mpmath(self, alpha):
+        target = coherent_coefficients(alpha)
+        with mpmath.workdps(40):
+            mean = mpmath.mpf(alpha) ** 2
+            weight = mpmath.exp(-mean) * mean ** target.k_max / mpmath.factorial(target.k_max)
+            tail, term, k = mpmath.mpf(0), weight, target.k_max
+            while term > mpmath.mpf(10) ** -30:
+                k += 1
+                term *= mean / k
+                tail += term
+            # the cut is the first k_max >= alpha^2 whose tail is below 1e-12
+            assert tail < 1e-12 and tail + weight >= 1e-12
+            kept = 1 - tail
+            for k in (int(mean) - 5 * int(alpha), int(mean), target.k_max):
+                exact = mpmath.sqrt(mpmath.exp(-mean) * mean ** k / mpmath.factorial(k) / kept)
+                assert target.coeffs[k] == pytest.approx(float(exact), rel=1e-9), k

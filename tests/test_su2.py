@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fockport import (
+    MAX_TWICE_J,
     BeamSplitterAngle,
     DomainError,
     SizeCapError,
@@ -181,6 +182,13 @@ class TestTypes:
     def test_spin_j_rejects_negative(self, twice_j):
         with pytest.raises(DomainError):
             SpinJ(twice_j)
+
+    def test_photon_number_cap(self):
+        # the largest sizes in use (columns at twice_j = 200000) stay well inside
+        assert SpinJ(MAX_TWICE_J).dim == MAX_TWICE_J + 1 > 200000
+        for twice_j in (MAX_TWICE_J + 1, 10 ** 9, np.int64(10 ** 12)):
+            with pytest.raises(SizeCapError, match="exceeds the cap"):
+                SpinJ(twice_j)
 
     def test_projection_value(self):
         assert SpinProjection(-3).m == -1.5

@@ -34,7 +34,6 @@ from fockport import (
     reconstruct,
     resource_for_kind,
     resource_from_state,
-    shifted_phase_operator_note,
 )
 
 from fockport.sweep import BetaGrid, SweepSpec, run_sweep
@@ -205,11 +204,10 @@ class TestReconstruct:
         target = coherent_coefficients(2.0)
         outcome = MeasurementOutcome(13, 4)
         offset = 0.77
-        descriptor = shifted_phase_operator_note(offset)
         alice = reconstruct(
             post_measurement_state(
                 target, resource, outcome,
-                measurement_phase=descriptor.measurement_phase(outcome),
+                measurement_phase=outcome.phase - offset,
             ),
             0.0,
             outcome,
