@@ -3,8 +3,9 @@
 A two-mode state with fixed total photon number N lives in the spin-j
 representation with j = N/2.  A beam splitter acts as a rotation whose
 matrix elements are Wigner d-functions d^j_{m'm}(beta); this module
-provides exact small-j elements, a stable O(N) column algorithm good to
-twice_j = 20000, and the rotation/phase-shift operators built on them.
+provides exact small-j elements, a stable O(N) column algorithm (tested
+bit for bit against a reference recurrence at twice_j = 100000, capped at
+MAX_TWICE_J = 1,000,000) and the rotation/phase-shift operators on them.
 The column algorithm runs every (m, beta) column of a rotation or of an
 angle grid as one lane of a single batched recurrence.
 
@@ -256,13 +257,14 @@ def _recurrence_scalar(A, B, seed: float) -> array:
     return w
 
 
-def _recurrence(A: np.ndarray, B: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """Every lane through the batched kernel, or one by one when lanes are few."""
+def _recurrence(A: np.ndarray, B: np.ndarray, seeds: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """Every lane through the batched kernel, or when lanes are few each alone to its stop."""
     if len(seeds) >= _SCALAR_LANES:
         return _recurrence_batched(A, B, seeds)
-    w = np.empty(B.shape)
-    for lane, seed in enumerate(seeds.tolist()):
-        w[lane] = np.frombuffer(_recurrence_scalar(memoryview(A[lane]), memoryview(B[lane]), seed))
+    w = np.zeros(B.shape)  # a lane's row past its stop stays zero
+    for lane, (seed, stop) in enumerate(zip(seeds.tolist(), stops.tolist())):
+        w[lane, :stop] = np.frombuffer(
+            _recurrence_scalar(memoryview(A[lane, :stop]), memoryview(B[lane, :stop]), seed))
     return w
 
 
@@ -309,8 +311,9 @@ def _recurrence_columns(tj: int, tms: np.ndarray, betas) -> np.ndarray:
     two branches at the classically allowed band centre m' ~ m cos(beta),
     and fixes the overall scale with the unit-column-norm constraint.  Both
     directions are lanes of one recurrence: the down branch runs on reversed
-    coefficients.  Returns (lane, m') values; O(N) work per lane, stable to
-    twice_j = 20000 and beyond.
+    coefficients.  Returns (lane, m') values.  Run alone, a lane's branches
+    stop one entry past the glue window, about n + 41 steps for the pair
+    instead of 2n; batched lanes run both branches in full.
     """
     n = tj + 1
     j = tj / 2.0
@@ -342,7 +345,12 @@ def _recurrence_columns(tj: int, tms: np.ndarray, betas) -> np.ndarray:
     sgn_top = (np.where(odd_lo, -1.0, 1.0) * np.where(odd_hi, sgn_ch, 1.0)
                * np.where(odd_lo, sgn_sh, 1.0))
 
-    w = _recurrence(A, B, np.concatenate([sgn_bot, sgn_top]))
+    # a lane runs one entry past the glue window centre +- _GLUE_HALF_WIDTH: the
+    # step computing that entry can still rescale the last one the glue reads
+    centre = np.minimum(np.maximum(np.rint(j + m * cb), 0), n - 1).astype(np.intp)
+    stops = np.concatenate([np.minimum(centre + _GLUE_HALF_WIDTH + 2, n),
+                            n - np.maximum(centre - _GLUE_HALF_WIDTH - 1, 0)])
+    w = _recurrence(A, B, np.concatenate([sgn_bot, sgn_top]), stops)
     del A  # free the coefficients before the tail allocates
     # sign/log-magnitude form.  B is finite except where a step rescaled;
     # entry i carries the +-_LOGBIG shifts of steps 0..i, summed in step order
@@ -355,7 +363,6 @@ def _recurrence_columns(tj: int, tms: np.ndarray, betas) -> np.ndarray:
         B[~rescaled] = 0.0
         logmag += np.cumsum(B, axis=1, out=B)
     del B, rescaled
-    centre = np.minimum(np.maximum(np.rint(j + m * cb), 0), n - 1).astype(np.intp)
     with np.errstate(invalid="ignore"):  # an overflowed lane is refused below
         out = _glue(np.sign(w, out=w), logmag, centre)
     if not np.isfinite(out).all():

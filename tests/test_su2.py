@@ -498,15 +498,78 @@ class TestBatchedKernel:
         marks = []
         recurrence = su2._recurrence
 
-        def spy(A, B, seeds):
-            w = recurrence(A, B, seeds)
+        def spy(A, B, seeds, stops):
+            w = recurrence(A, B, seeds, stops)
             marks.append(np.isinf(B).sum())
             return w
 
         monkeypatch.setattr(su2, "_recurrence", spy)
-        monkeypatch.setattr(su2, "_SCALAR_LANES", 0)
-        su2._columns(2000, [-2000, 0, 2000], [0.02, 0.3])
-        assert sum(marks)
+        for scalar_lanes in (0, 10**9):  # batched, then truncated scalar lanes
+            monkeypatch.setattr(su2, "_SCALAR_LANES", scalar_lanes)
+            marks.clear()
+            su2._columns(2000, [-2000, 0, 2000], [0.02, 0.3])
+            assert sum(marks)
+
+    def test_truncated_scalar_lanes_rescale_both_ways(self, rng):
+        # Columns seeded with +-1 only ever mark +inf; seeds below 1/_BIG and
+        # steep coefficients make truncated lanes rescale both ways.
+        n = 400
+        seeds = np.array([1e-260, -1e-270, 1.0, 1e-300, -3.0])
+        A = rng.uniform(0.5, 2.0, (len(seeds), n))
+        A[:, 0] = 0.0
+        B = rng.uniform(-50.0, 50.0, (len(seeds), n))
+        full, cut = B.copy(), B.copy()
+        want = su2._recurrence(A, full, seeds, np.full(len(seeds), n))
+        # lane 0 stops just before a step that rescales its last entry
+        first_mark = int(np.flatnonzero(np.isinf(full[0]))[0])
+        stops = np.array([first_mark + 1, 300, 41, 1, n])
+        w = su2._recurrence(A, cut, seeds, stops)
+        assert np.isposinf(cut).any() and np.isneginf(cut).any()
+        assert w[0, first_mark] != want[0, first_mark]
+        for lane, stop in enumerate(stops):
+            # entries before the last are final; the last may miss the next step's rescale
+            assert same_bits(w[lane, :stop - 1], want[lane, :stop - 1])
+            assert same_bits(cut[lane, :stop - 1], full[lane, :stop - 1])
+            assert not w[lane, stop:].any()
+            assert same_bits(cut[lane, stop - 1:], B[lane, stop - 1:])
+
+    @pytest.mark.parametrize(
+        "twice_j, twice_ms, betas",
+        [
+            # centres at 0 and at n - 1: m = +-j with beta near 0 and near pi
+            (2000, [-2000, 2000], [1e-3, 0.02, PI - 1e-3]),
+            # n = 21 and 22, where every stop is n; n = 41 (the glue window) and 42
+            (20, [-20, 0, 20], [0.3, 2.9]),
+            (21, [-21, 1, 21], [0.3, 2.9]),
+            (40, [-40, -2, 40], [0.3, PI / 2]),
+            (41, [-41, 1, 41], [0.3, 2.9]),
+            # half-integer j
+            (2001, [-2001, 1, 1999], [0.1, 1.5]),
+            (100000, [2], [1.234]),
+            # 1598 rescales with full branches, 799 once the up branch stops at the window
+            (100000, [-99998], [0.02]),
+        ],
+    )
+    def test_scalar_lanes_never_read_past_their_stop(self, monkeypatch, twice_j, twice_ms,
+                                                       betas):
+        poisoned = []
+        recurrence = su2._recurrence
+
+        def spy(A, B, seeds, stops):
+            assert len(seeds) < su2._SCALAR_LANES
+            for lane, stop in enumerate(stops.tolist()):
+                A[lane, stop:] = math.nan
+                B[lane, stop:] = math.nan
+                poisoned.append(B.shape[1] - stop)
+            return recurrence(A, B, seeds, stops)
+
+        monkeypatch.setattr(su2, "_recurrence", spy)
+        got = su2._columns(twice_j, twice_ms, betas)
+        want = np.array([[reference_d_column(twice_j, tm, b) for tm in twice_ms]
+                         for b in betas])
+        assert same_bits(got, want)
+        # up to n = 22 every lane runs to the end from any centre
+        assert any(poisoned) == (twice_j + 1 > su2._GLUE_HALF_WIDTH + 2)
 
     def test_both_rescale_directions_agree(self, rng):
         # seeds below 1/_BIG force upward rescales, steep coefficients downward ones
