@@ -1,9 +1,10 @@
 """fockport: beam-splitter entangled Fock states and number-phase teleportation.
 
 Builds two-mode photon-number states in the equivalent spin picture,
-rotates them through beam splitters with a Wigner-d kernel that stays
-stable to twice_j = 20000, quantifies how close the outputs come to ideal
-EPR-like flat states, and evaluates conditional teleportation fidelity.
+rotates them through beam splitters with a Wigner-d kernel (tested bit for
+bit against a reference recurrence at twice_j = 100000; MAX_TWICE_J is
+1,000,000), quantifies how close the outputs come to ideal EPR-like flat
+states, and evaluates conditional teleportation fidelity.
 """
 
 from ._version import __version__

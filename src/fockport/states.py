@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .su2 import SpinJ, SpinProjection, SpinState
+from .su2 import SpinJ, SpinProjection, SpinState, _check_projection
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,7 @@ def two_mode_to_spin(idx: TwoModeIndex) -> tuple[SpinJ, SpinProjection]:
 
 def spin_to_two_mode(j: SpinJ, m: SpinProjection) -> TwoModeIndex:
     """(j, m) -> (n_a, n_b); requires |m| <= j with matching parity."""
-    if abs(m.twice_m) > j.twice_j:
-        raise DomainError(f"|m| = {abs(m.m)} exceeds j = {j.j}")
-    if (m.twice_m - j.twice_j) % 2 != 0:
-        raise DomainError("m and j must both be integer or both half-integer")
+    _check_projection(j, m)
     return TwoModeIndex((j.twice_j + m.twice_m) // 2, (j.twice_j - m.twice_m) // 2)
 
 

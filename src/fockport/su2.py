@@ -34,8 +34,9 @@ _TINY = 1.0 / _BIG
 # The column kernel advances a batch of lanes, one lane per (twice_m, beta)
 # column of a fixed twice_j.  LANE_BUDGET caps lanes x column length per
 # kernel call.  Below _SCALAR_LANES lanes each lane runs alone in Python
-# floats: one numpy call per step costs more than that until about 16 lanes
-# (measured crossover: 10 lanes at twice_j = 20, 14-16 at 100-20000).
+# floats, to its glue window.  From 16 lanes one numpy call per step wins
+# below column length ~1000 and loses above (batched vs every lane alone,
+# 2 CPUs: dense rotation N = 300 24 vs 55 ms, N = 2000 3.0 vs 1.7 s).
 LANE_BUDGET = 1 << 15
 _SCALAR_LANES = 16
 _GLUE_HALF_WIDTH = 20  # branches are glued within this many entries of the band centre
@@ -306,9 +307,10 @@ def _glue(sgn: np.ndarray, logmag: np.ndarray, centre: np.ndarray) -> np.ndarray
 def _recurrence_columns(tj: int, tms: np.ndarray, betas) -> np.ndarray:
     """Stable d^j_{.,m}(beta) columns, one lane per (beta, m) pair, beta-major.
 
-    Each lane runs the three-term recurrence in m' up from m' = -j and down
-    from m' = +j, each seeded with the closed-form endpoint sign, glues the
-    two branches at the classically allowed band centre m' ~ m cos(beta),
+    Each lane runs the three-term recurrence in m' up from m' = -j, seeded
+    with the closed-form endpoint sign, and down from m' = +j, seeded with 1;
+    it glues the two branches at the classically allowed band centre
+    m' ~ m cos(beta), where the glue also gives the down branch its sign,
     and fixes the overall scale with the unit-column-norm constraint.  Both
     directions are lanes of one recurrence: the down branch runs on reversed
     coefficients.  Returns (lane, m') values.  Run alone, a lane's branches
@@ -335,22 +337,19 @@ def _recurrence_columns(tj: int, tms: np.ndarray, betas) -> np.ndarray:
     B[:lanes] = 2.0 * (m[:, None] - mp * cb[:, None])
     B[lanes:] = B[:lanes, ::-1]
 
-    # endpoint signs of d_{-j,m} = C ch^{j-m} sh^{j+m} and
-    # d_{+j,m} = (-1)^{j-m} C ch^{j+m} sh^{j-m}, C > 0
+    # endpoint sign of d_{-j,m} = C ch^{j-m} sh^{j+m}, C > 0
     odd_lo = (tj - tm) // 2 % 2 == 1
     odd_hi = (tj + tm) // 2 % 2 == 1
     sgn_ch = np.where(ch >= 0, 1.0, -1.0)
     sgn_sh = np.where(sh >= 0, 1.0, -1.0)
     sgn_bot = np.where(odd_lo, sgn_ch, 1.0) * np.where(odd_hi, sgn_sh, 1.0)
-    sgn_top = (np.where(odd_lo, -1.0, 1.0) * np.where(odd_hi, sgn_ch, 1.0)
-               * np.where(odd_lo, sgn_sh, 1.0))
 
     # a lane runs one entry past the glue window centre +- _GLUE_HALF_WIDTH: the
     # step computing that entry can still rescale the last one the glue reads
     centre = np.minimum(np.maximum(np.rint(j + m * cb), 0), n - 1).astype(np.intp)
     stops = np.concatenate([np.minimum(centre + _GLUE_HALF_WIDTH + 2, n),
                             n - np.maximum(centre - _GLUE_HALF_WIDTH - 1, 0)])
-    w = _recurrence(A, B, np.concatenate([sgn_bot, sgn_top]), stops)
+    w = _recurrence(A, B, np.concatenate([sgn_bot, np.ones(lanes)]), stops)
     del A  # free the coefficients before the tail allocates
     # sign/log-magnitude form.  B is finite except where a step rescaled;
     # entry i carries the +-_LOGBIG shifts of steps 0..i, summed in step order
@@ -385,26 +384,15 @@ def _columns(tj: int, tms, betas) -> np.ndarray:
     """d^j_{m',m}(beta) for every beta and m: array indexed [beta, m, m']."""
     tms = np.asarray(tms, dtype=np.int64)
     shape = (len(betas), len(tms), tj + 1)
-    turning = [b for b, beta in enumerate(betas) if math.sin(beta) != 0.0]
+    # beta = +-0.0 is the only finite double with sin(beta) = 0: d(0) is the identity
+    turning = [b for b, beta in enumerate(betas) if beta != 0.0]
     if len(turning) == len(betas):
         return _recurrence_columns(tj, tms, betas).reshape(shape)
     out = np.zeros(shape)
+    out[:, np.arange(len(tms)), (tj + tms) // 2] = 1.0
     if turning:
         cols = _recurrence_columns(tj, tms, [betas[b] for b in turning])
         out[turning] = cols.reshape((len(turning),) + shape[1:])
-    rows = np.arange(len(tms))
-    for b, beta in enumerate(betas):
-        if math.sin(beta) != 0.0:
-            continue
-        if math.cos(beta) > 0.0:
-            # beta = 0 mod 2pi; full winding contributes (-1)^{2j k}
-            k = round(beta / (2.0 * math.pi))
-            out[b, rows, (tj + tms) // 2] = (-1.0) ** (tj * k)
-        else:
-            # beta = pi mod 2pi: m -> -m with phase (-1)^{j-m}
-            k = round((beta - math.pi) / (2.0 * math.pi))
-            out[b, rows, (tj - tms) // 2] = (np.where((tj - tms) // 2 % 2 == 1, -1.0, 1.0)
-                                              * (-1.0) ** (tj * k))
     return out
 
 

@@ -183,9 +183,12 @@ def find_beta_q_numeric(N: int, resource_kind: str = "j0",
         raise DomainError(f"unknown objective {objective!r}")
     if not step > 0.0:
         raise DomainError(f"step must be > 0, got {step}")
-    if not (math.pi / 2) / step < MAX_GRID_POINTS:
+    points = (math.pi / 2) / step + 1e-9
+    if not points < MAX_GRID_POINTS:
         raise SizeCapError(f"beta grid exceeds {MAX_GRID_POINTS} points")
-    betas = step * np.arange(1, int(round((math.pi / 2) / step)) + 1)
+    if points < 1.0:
+        raise DomainError(f"step = {step} leaves no angle in (0, pi/2]")
+    betas = step * np.arange(1, math.floor(points) + 1)
     if objective == "min_fidelity_target":
         target = coherent_coefficients(1.0)
         region = high_fidelity_region(1.0, N)

@@ -245,6 +245,8 @@ def high_fidelity_region(alpha: float, N: int) -> tuple[int, int] | None:
 
     Returns None when the bounds cross (no high-fidelity outcomes exist).
     """
+    if not math.isfinite(alpha) or alpha < 0:
+        raise DomainError(f"alpha must be finite and non-negative, got {alpha}")
     lo = math.ceil(alpha * alpha + alpha)
     hi = math.floor(N - alpha * alpha + alpha)
     if lo > hi:

@@ -108,6 +108,7 @@ class TestRotate:
             '[[1e999, 0], [0, 0], [0, 0]]',
             '[[1%s, 0], [0, 0], [0, 0]]' % ("0" * 400),  # integer beyond the float range
             '{"re": [1, 0, 0]}',               # not a list
+            '[[0, 0], [0, 0], [0, 0]]',        # the zero vector
         ],
     )
     def test_malformed_state_file_is_domain_error(self, capsys, tmp_path, content):
@@ -350,6 +351,18 @@ class TestSweep:
         code, _, err = run_cli(capsys, ["sweep", "--spec-file", str(path)])
         assert code == 2
         assert "empty" in err
+
+    @pytest.mark.parametrize("text, needle", [
+        ("resource_kind j0\nn = 10\n", "expected key=value"),
+        ("# resource_kind = j0\n\n# n = 10\n", "no key=value pairs"),
+    ])
+    def test_spec_without_pairs_is_usage_error(self, capsys, tmp_path, text, needle):
+        path = tmp_path / "spec.txt"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, ["sweep", "--spec-file", str(path)])
+        assert code == 2
+        assert out == ""
+        assert needle in err
 
     def test_missing_required_key(self, capsys, tmp_path):
         path = tmp_path / "spec.txt"

@@ -188,6 +188,8 @@ class TestMakeResource:
     def test_resource_norm_validation(self):
         with pytest.raises(DomainError):
             QuasiEprResource(2, np.array([1.0, 1.0, 1.0]))
+        with pytest.raises(DomainError, match="s must have length 3"):
+            QuasiEprResource(2, np.array([1.0, 0.0]))
 
     def test_resource_rejects_nan_amplitudes(self):
         with pytest.raises(DomainError, match="norm"):

@@ -62,6 +62,8 @@ class TestRelativePhase:
             RelativePhaseSpec(5, 6)
         with pytest.raises(DomainError):
             RelativePhaseSpec(5, -1)
+        with pytest.raises(DomainError, match="N must be non-negative"):
+            RelativePhaseSpec(-1, 0)
 
     def test_phi_spacing(self):
         spec = RelativePhaseSpec(9, 3, phi0=0.25)
@@ -105,6 +107,8 @@ class TestRelativePhase:
     def test_general_phase_length_check(self):
         with pytest.raises(DomainError):
             GeneralPhaseSpec(4, (0.0, 0.0))
+        with pytest.raises(DomainError, match="N must be non-negative"):
+            GeneralPhaseSpec(-1, ())
 
 
 class TestCoherentTarget:
@@ -148,6 +152,9 @@ class TestCoherentTarget:
         loose = coherent_coefficients(2.0, tail_tol=1e-6)
         tight = coherent_coefficients(2.0, tail_tol=1e-14)
         assert loose.k_max < tight.k_max
+        # below the float spacing near 1, 1 - cum never drops under the tolerance
+        with pytest.raises(DomainError, match="failed to converge"):
+            coherent_coefficients(5.0, tail_tol=1e-17)
 
     def test_coefficient_lookup(self):
         target = coherent_coefficients(1.0)

@@ -16,6 +16,7 @@ from fockport import (
     SpinJ,
     SpinProjection,
     SpinState,
+    WignerColumn,
     basis_state,
     brute_force_rotation,
     phase_shift,
@@ -192,6 +193,8 @@ class TestTypes:
 
     def test_projection_value(self):
         assert SpinProjection(-3).m == -1.5
+        with pytest.raises(DomainError, match="twice_m must be an integer"):
+            SpinProjection(1.5)
 
     def test_state_requires_norm(self):
         j = SpinJ(2)
@@ -228,12 +231,16 @@ class TestTypes:
         assert angle.reflectivity == pytest.approx(0.3, abs=1e-14)
         assert angle.transmittivity == pytest.approx(0.7, abs=1e-14)
         assert BeamSplitterAngle.balanced().beta == pytest.approx(PI / 2)
+        with pytest.raises(DomainError, match="reflectivity"):
+            BeamSplitterAngle.from_reflectivity(1.5)
 
     def test_column_value_lookup(self):
         col = wigner_d_column(SpinJ(4), SpinProjection(0), 0.7)
         assert col.value(SpinProjection(-4)) == col.values[0]
         with pytest.raises(DomainError):
             col.value(SpinProjection(5))
+        with pytest.raises(DomainError, match="column must have length 5"):
+            WignerColumn(SpinJ(4), SpinProjection(0), 0.7, col.values[:-1])
 
 
 class TestElement:
@@ -356,10 +363,11 @@ class TestColumn:
 
     @pytest.mark.parametrize("twice_j, tm", [(4, 2), (5, -3), (8, 0)])
     def test_zero_angle_is_identity(self, twice_j, tm):
-        col = wigner_d_column(SpinJ(twice_j), SpinProjection(tm), 0.0)
         expected = np.zeros(twice_j + 1)
         expected[(tm + twice_j) // 2] = 1.0
-        np.testing.assert_array_equal(col.values, expected)
+        for beta in (0.0, -0.0):
+            col = wigner_d_column(SpinJ(twice_j), SpinProjection(tm), beta)
+            assert same_bits(col.values, expected)
 
     @pytest.mark.parametrize("twice_j, tm", [(4, 2), (5, -3), (8, 0)])
     def test_pi_angle_is_signed_flip(self, twice_j, tm):

@@ -275,10 +275,19 @@ class TestFindBetaQ:
             _worst_fidelity(target, QuasiEprResource(40, s), range(2, 41))
 
     @pytest.mark.parametrize("step, error", [(0.0, DomainError), (-0.1, DomainError),
-                                             (math.nan, DomainError), (1e-9, SizeCapError)])
+                                             (math.nan, DomainError), (1e-9, SizeCapError),
+                                             (2.0, DomainError), (4.0, DomainError)])
     def test_bad_step_is_refused(self, step, error):
         with pytest.raises(error):
             find_beta_q_numeric(10, step=step)
+
+    def test_coarse_step_stays_inside_quarter_turn(self):
+        # (pi/2) / 1.0 rounds up to two points, but only one lies in (0, pi/2]
+        assert find_beta_q_numeric(10, step=1.0) == 1.0
+
+    def test_fidelity_objective_needs_a_window(self):
+        with pytest.raises(DomainError, match="no high-fidelity window at N = 1"):
+            find_beta_q_numeric(1, objective="min_fidelity_target")
 
     def test_coarse_step_still_lands_near_formula(self):
         found = math.degrees(find_beta_q_numeric(20, step=math.radians(2.5)))

@@ -375,6 +375,11 @@ class TestRegion:
     def test_zero_alpha_spans_everything(self):
         assert high_fidelity_region(0.0, 9) == (0, 9)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -1.0])
+    def test_bad_alpha_is_domain_error(self, alpha):
+        with pytest.raises(DomainError, match="alpha must be finite and non-negative"):
+            high_fidelity_region(alpha, 20)
+
 
 class TestEvaluateOutcome:
     def test_reachable_bundle(self, unit_target, small_resource):
