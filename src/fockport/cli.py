@@ -13,8 +13,10 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
+import itertools
 import json
 import math
+import operator
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -35,35 +37,62 @@ _JSON_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
 class _RowRenderer:
-    """Renders table rows through one % template per tuple of cell types.
+    """Renders table rows a block at a time through one % template per tuple of cell types.
 
     CSV (no keys): a line of %d for integers, %.{precision}g for floats, %s for
     any other cell and nothing for None.  JSON (the column names as keys): an
     object in json's indent=2 layout with None as null and each other cell as
     text converted once: integers as %d, strings escaped as json escapes them,
     any other cell rounded through %.{precision}g and written as json writes it.
+
+    A block of up to BLOCK_ROWS rows is written by one %.  Its template is the
+    row template of each run of rows with one tuple of cell types, repeated
+    once per row of the run; a block whose rows differ in length is split
+    into runs of one length first.  The cell types are read per column, and
+    per row only where a run starts.
     """
+
+    BLOCK_ROWS = 1024
 
     def __init__(self, precision: int, keys=None):
         self.g = "%%.%dg" % precision
         self.keys = keys
+        self.sep = "" if keys is None else ",\n    "
         self.templates = {}
 
-    def __call__(self, row) -> str:
-        row = tuple(row)
-        types = tuple(map(type, row))
-        try:
-            template, fill = self.templates[types]
-        except KeyError:
-            template, fill = self.templates[types] = self._build(types)
-        return template % (row if fill is None else fill(row))
+    def blocks(self, rows):
+        """The text of the rows, one string per block, rows joined by the format's separator."""
+        rows = iter(rows)
+        while block := list(map(tuple, itertools.islice(rows, self.BLOCK_ROWS))):
+            yield self._render(block)
+
+    def _render(self, block: list) -> str:
+        """The text of a non-empty list of row tuples, by one %."""
+        lengths = list(map(len, block))
+        if lengths.count(lengths[0]) != len(block):
+            runs = _runs(len(block), [lengths])
+            return self.sep.join([self._render(block[a:b]) for a, b in runs])
+        columns = list(zip(*block))
+        types = [list(map(type, column)) for column in columns]
+        mixed = [kinds for kinds in types if kinds.count(kinds[0]) != len(kinds)]
+        templates, args = [], []
+        for a, b in _runs(len(block), mixed):
+            key = tuple(map(type, block[a]))
+            if key not in self.templates:
+                self.templates[key] = self._build(key)
+            template, fill = self.templates[key]
+            templates.append(self.sep.join(itertools.repeat(template, b - a)))
+            if fill is not None:
+                args.append(fill(columns if b - a == len(block) else [c[a:b] for c in columns]))
+        rows = block if self.keys is None else itertools.chain.from_iterable(args)
+        return self.sep.join(templates) % tuple(itertools.chain.from_iterable(rows))
 
     def _number(self, value) -> str:
         text = self.g % value
         return _JSON_NON_FINITE.get(text) or repr(float(text))
 
     def _build(self, types):
-        """(template, fill): fill maps a row to the template's arguments, None if the row is."""
+        """(template, fill): fill maps a run's columns to its rows of arguments; None for CSV."""
         kinds = [None if t is type(None) else int if issubclass(t, (int, np.integer)) else
                  float if issubclass(t, float) else str if issubclass(t, str) else object
                  for t in types]
@@ -78,25 +107,33 @@ class _RowRenderer:
         template = "{\n      " + ",\n      ".join(items) + "\n    }" if items else "{}"
         cells = [(i, to_text[kind]) for i, kind in enumerate(kinds) if kind]
 
-        def fill(row):
-            return tuple([convert(row[i]) for i, convert in cells])
+        def fill(columns):
+            return zip(*[map(convert, columns[i]) for i, convert in cells])
 
         return template, fill
 
 
+def _runs(count: int, keys: list):
+    """(start, stop) of each run of rows over which every list in keys holds one value."""
+    cuts = {0, count}
+    for values in keys:
+        cuts.update(itertools.compress(itertools.count(1), map(operator.ne, values, values[1:])))
+    cuts = sorted(cuts)
+    return zip(cuts, cuts[1:])
+
+
 def write_csv(stream, columns, rows, precision: int):
     stream.write(",".join(columns) + "\n")
-    render = _RowRenderer(precision)
-    for row in rows:
-        stream.write(render(row))
+    for text in _RowRenderer(precision).blocks(rows):
+        stream.write(text)
 
 
 def write_json(stream, meta, columns, rows, precision: int):
-    # the layout of json.dump({"meta": meta, "rows": [...]}, indent=2), one row at a time
+    # the layout of json.dump({"meta": meta, "rows": [...]}, indent=2), a block of rows at a time
     stream.write('{\n  "meta": %s,\n  "rows": [' % json.dumps(meta, indent=2).replace("\n", "\n  "))
-    render, sep = _RowRenderer(precision, columns), "\n    "
-    for row in rows:
-        stream.write(sep + render(row))
+    sep = "\n    "
+    for text in _RowRenderer(precision, columns).blocks(rows):
+        stream.write(sep + text)
         sep = ",\n    "
     stream.write("]\n}\n" if sep == "\n    " else "\n  ]\n}\n")
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .su2 import (SpinJ, SpinProjection, SpinState, basis_state, rotate_about_x_grid,
-                  wigner_d_column)
+from .su2 import (SpinJ, SpinProjection, SpinState, _check_unit_norm, basis_state,
+                  rotate_about_x_grid, wigner_d_column)
 
 _ZERO_TOL = 1e-12
 
@@ -54,9 +54,7 @@ class QuasiEprResource:
         object.__setattr__(self, "s", s)
         if s.shape != (self.N + 1,):
             raise DomainError(f"s must have length {self.N + 1}, got {s.shape}")
-        norm = float(np.linalg.norm(s))
-        if not abs(norm - 1.0) <= 1e-10:
-            raise DomainError(f"resource norm {norm} deviates from 1 by more than 1e-10")
+        _check_unit_norm(s, "resource")
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,19 @@ class SpinProjection:
         return self.twice_m / 2.0
 
 
+def _check_unit_norm(amps: np.ndarray, what: str) -> None:
+    """Raise DomainError unless the complex vector amps has unit norm within _NORM_TOL.
+
+    The squares are summed by np.add.reduce, not np.linalg.norm: that calls
+    BLAS, which runs threaded on long vectors and costs far more than a
+    tolerance check needs.
+    """
+    parts = np.ascontiguousarray(amps).view(np.float64)
+    norm = math.sqrt(np.add.reduce(parts * parts, axis=None))
+    if not abs(norm - 1.0) <= _NORM_TOL:
+        raise DomainError(f"{what} norm {norm} deviates from 1 by more than {_NORM_TOL}")
+
+
 def _check_projection(j: SpinJ, m: SpinProjection, name: str = "m"):
     if abs(m.twice_m) > j.twice_j:
         raise DomainError(f"|{name}| = {abs(m.m)} exceeds j = {j.j}")
@@ -103,9 +116,7 @@ class SpinState:
         object.__setattr__(self, "amplitudes", amps)
         if amps.shape != (self.j.dim,):
             raise DomainError(f"amplitude vector must have length {self.j.dim}, got {amps.shape}")
-        norm = float(np.linalg.norm(amps))
-        if not abs(norm - 1.0) <= _NORM_TOL:
-            raise DomainError(f"state norm {norm} deviates from 1 by more than {_NORM_TOL}")
+        _check_unit_norm(amps, "state")
 
     def twice_m_values(self) -> np.ndarray:
         return np.arange(self.j.dim) * 2 - self.j.twice_j

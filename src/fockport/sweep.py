@@ -21,7 +21,7 @@ from .quasi_epr import (FilterOrder, beta_q, filtered_input, ideal_resource,
 from .states import (RelativePhaseSpec, coherent_coefficients,
                      relative_phase_state)
 from .su2 import LANE_BUDGET
-from .teleport import _evaluate, evaluate_all, high_fidelity_region
+from .teleport import _check_photon_number, _evaluate, evaluate_all, high_fidelity_region
 
 _DEFAULT_STEP = math.radians(0.5)
 
@@ -178,7 +178,11 @@ def find_beta_q_numeric(N: int, resource_kind: str = "j0",
     of a unit-alpha target, correction on).  Ties break toward smaller
     beta.  The default follows the flatness reading of "best quasi-EPR
     state": it tracks (pi/2)(1-1/N) to within one grid step for N >= 10.
+    The ideal resource does not depend on beta, so it has no best angle.
     """
+    _check_photon_number(N)
+    if resource_kind == "ideal":
+        raise DomainError("the ideal resource does not depend on beta; it has no best angle")
     if objective not in ("min_modulus", "entropy", "min_fidelity_target"):
         raise DomainError(f"unknown objective {objective!r}")
     if not step > 0.0:

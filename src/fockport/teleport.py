@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DomainError, ImpossibleOutcomeError
 from .quasi_epr import QuasiEprResource
 from .states import CoherentTarget
+from .su2 import _check_unit_norm
 
 _ALIGN_TOL = 1e-12
 
@@ -58,9 +59,7 @@ class BobState:
         if amps.shape != (self.q - self.k0 + 1,):
             raise DomainError(
                 f"amplitudes must cover k = {self.k0}..{self.q}, got length {amps.shape[0]}")
-        norm = float(np.linalg.norm(amps))
-        if not abs(norm - 1.0) <= 1e-10:
-            raise DomainError(f"BobState norm {norm} deviates from 1")
+        _check_unit_norm(amps, "BobState")
 
     @property
     def k0(self) -> int:
@@ -82,9 +81,7 @@ class SingleModeState:
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", amps)
-        norm = float(np.linalg.norm(amps))
-        if not abs(norm - 1.0) <= 1e-10:
-            raise DomainError(f"state norm {norm} deviates from 1")
+        _check_unit_norm(amps, "state")
 
 
 @dataclass(frozen=True)
@@ -240,11 +237,17 @@ def _mean_fidelity(outcomes) -> float:
     return total
 
 
+def _check_photon_number(N) -> None:
+    if not isinstance(N, (int, np.integer)) or N < 1:
+        raise DomainError(f"N must be a positive integer, got {N!r}")
+
+
 def high_fidelity_region(alpha: float, N: int) -> tuple[int, int] | None:
     """Integer window [ceil(a^2+a), floor(N-a^2+a)] where the bound stays near 1.
 
     Returns None when the bounds cross (no high-fidelity outcomes exist).
     """
+    _check_photon_number(N)
     if not math.isfinite(alpha) or alpha < 0:
         raise DomainError(f"alpha must be finite and non-negative, got {alpha}")
     lo = math.ceil(alpha * alpha + alpha)

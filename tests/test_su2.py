@@ -205,6 +205,21 @@ class TestTypes:
         with pytest.raises(DomainError, match="norm"):
             SpinState(SpinJ(1), np.array([math.nan, 0.0]))
 
+    @pytest.mark.parametrize("scale, accepted", [(1.0, True), (1 + 5e-11, True), (1 - 5e-11, True),
+                                                 (1 + 2e-10, False), (1 - 2e-10, False),
+                                                 (0.0, False)])
+    def test_unit_norm_tolerance_without_blas(self, scale, accepted, monkeypatch):
+        # a strided view of a long vector, checked without np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm", None)
+        dim = 20001
+        storage = np.zeros(2 * dim, dtype=complex)
+        storage[::2] = np.exp(0.37j * np.arange(dim)) * (scale / math.sqrt(dim))
+        if accepted:
+            SpinState(SpinJ(dim - 1), storage[::2])
+        else:
+            with pytest.raises(DomainError, match="state norm"):
+                SpinState(SpinJ(dim - 1), storage[::2])
+
     def test_state_requires_matching_length(self):
         with pytest.raises(DomainError):
             SpinState(SpinJ(2), np.array([1.0, 0.0]))

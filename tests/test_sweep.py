@@ -281,6 +281,13 @@ class TestFindBetaQ:
         with pytest.raises(error):
             find_beta_q_numeric(10, step=step)
 
+    @pytest.mark.parametrize("N, kind", [(10.5, "j0"), (math.nan, "j0"), ("10", "j0"), (0, "j0"),
+                                         (-4, "j0"), (10, "ideal")])
+    def test_bad_n_or_flat_kind_is_refused(self, N, kind):
+        # every angle would tie, and the first grid angle would pass for an optimum
+        with pytest.raises(DomainError):
+            find_beta_q_numeric(N, resource_kind=kind)
+
     def test_coarse_step_stays_inside_quarter_turn(self):
         # (pi/2) / 1.0 rounds up to two points, but only one lies in (0, pi/2]
         assert find_beta_q_numeric(10, step=1.0) == 1.0

@@ -380,6 +380,11 @@ class TestRegion:
         with pytest.raises(DomainError, match="alpha must be finite and non-negative"):
             high_fidelity_region(alpha, 20)
 
+    @pytest.mark.parametrize("N", [math.nan, 10.5, "20", 0, -1])
+    def test_bad_n_is_domain_error(self, N):
+        with pytest.raises(DomainError, match="N must be a positive integer"):
+            high_fidelity_region(1.0, N)
+
 
 class TestEvaluateOutcome:
     def test_reachable_bundle(self, unit_target, small_resource):

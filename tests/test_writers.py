@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from fockport.cli import write_csv, write_json
+from fockport.cli import _RowRenderer, write_csv, write_json
 
 
 def _fmt(value, precision: int) -> str:
@@ -104,4 +104,58 @@ def test_rows_may_be_a_generator():
     got, want = io.StringIO(), io.StringIO()
     write_json(got, META, columns, iter(rows), 12)
     reference_write_json(want, META, columns, rows, 12)
+    assert got.getvalue() == want.getvalue()
+
+
+# Rows are rendered a block at a time; these tables put every kind of type
+# change at, next to and away from the block edges.
+B = _RowRenderer.BLOCK_ROWS
+
+
+def _uniform(count):
+    return [(i, 0.1 * i + 1e-3, math.sqrt(i), -1.0 / (i + 1)) for i in range(count)]
+
+
+def _with(rows, changes):
+    rows = list(rows)
+    for i, row in changes.items():
+        rows[i] = row
+    return rows
+
+
+def _typed_cells(count):
+    cells = (lambda i: (bool(i % 3), np.float64(i / 7), np.int64(i - 500), np.float32(i / 3)),
+             lambda i: (np.bool_(i % 2), np.int32(i), np.uint8(i % 256), i / 9))
+    return [cells[i * 2 // count](i) for i in range(count)]
+
+
+BLOCK_TABLES = {
+    **{f"{count} rows": (COLUMNS, _uniform(count)) for count in (0, 1, B - 1, B, B + 1, 2 * B + 1)},
+    **{f"type change at row {i}": (COLUMNS, _with(_uniform(2 * B), {i: (float(i), 0.5, 1, "x")}))
+       for i in (B - 2, B - 1, B, B + 1)},
+    "new types from the block edge on": (COLUMNS, _uniform(B) + [
+        (str(i), i, None, True) for i in range(B + 1)]),
+    "ragged row inside a block": (COLUMNS, _with(_uniform(B + 5),
+                                                 {500: (1.5, 2), 501: (1, 2, 3, 4, 5)})),
+    "None cell inside a block": (COLUMNS, _with(_uniform(B + 5), {7: (7, None, 1.0, 0.5)})),
+    "types alternate every row": (COLUMNS, [(i, None, "%d" % i, 0.5) if i % 2 else
+                                            (i, 0.25, i, True) for i in range(B + 2)]),
+    "trailing average row": (COLUMNS, [(q, 1.0 - q / 7e3, 1.0, 1.0 / (q + 2)) for q in range(B + 1)]
+                             + [("average", 0.987654321, None, None)]),
+    "bool and numpy cells": (COLUMNS, _typed_cells(B + 3)),
+}
+
+
+@pytest.mark.parametrize("precision", [1, 12, 17])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("table", sorted(BLOCK_TABLES))
+def test_blocks_match_reference(table, fmt, precision):
+    columns, rows = BLOCK_TABLES[table]
+    got, want = io.StringIO(), io.StringIO()
+    if fmt == "csv":
+        write_csv(got, columns, iter(rows), precision)
+        reference_write_csv(want, columns, rows, precision)
+    else:
+        write_json(got, META, columns, iter(rows), precision)
+        reference_write_json(want, META, columns, rows, precision)
     assert got.getvalue() == want.getvalue()
