@@ -139,7 +139,7 @@ def write_json(stream, meta, columns, rows, precision: int):
 
 
 def _emit(args, result: SweepResult) -> int:
-    if getattr(args, "timestamp", False):
+    if args.timestamp:
         result = stamp(result)
     out = open(args.output, "w", newline="") if args.output != "-" else sys.stdout
     try:
@@ -380,7 +380,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if getattr(args, "command", None) == "teleport" and args.beta_deg is None \
+        if args.command == "teleport" and args.beta_deg is None \
                 and args.resource != "ideal":
             parser.error(f"--beta-deg is required for resource {args.resource!r}")
         return args.func(args)
@@ -389,7 +389,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"fockport: error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"fockport: error: {exc}", file=sys.stderr)
         return 2
 

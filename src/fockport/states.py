@@ -129,42 +129,31 @@ def coherent_coefficients(alpha: float, tail_tol: float = 1e-12) -> CoherentTarg
         raise DomainError(f"tail_tol must be positive, got {tail_tol}")
     if alpha == 0.0:
         return CoherentTarget(0.0, 0, np.array([1.0]))
-    # Poisson weights p_k = e^{-a^2} a^{2k} / k!; cut where the tail drops
-    # below tail_tol, then renormalize the kept mass to exactly 1
+    # Poisson weights p_k = e^{-a^2} a^{2k} / k!; cut at the first k_max >= a^2
+    # whose tail is below tail_tol, then renormalize the kept mass to exactly 1
     mean = alpha * alpha
     if mean > 10000:  # k_max >= mean
         raise DomainError(f"alpha = {alpha} needs more than 10000 coherent terms")
-    k = k_max = 0
+    k = 0
     p = math.exp(-mean)
     while p < sys.float_info.min:
         # e^{-a^2} is subnormal or zero (a above ~26.6): start the sum at the
         # first weight that is a normal float, found in log space; each weight
         # skipped is below 1e-307
-        k = k_max = k + 1
+        k += 1
         p = math.exp(k * math.log(mean) - mean - math.lgamma(k + 1.0))
-    if k:
-        # each weight from here on carries the rounding of the start's large
-        # exponent (about 7e-12 relative at alpha = 80), so judge the tail
-        # against the mass the weights sum to, not against 1, and sum the tail
-        # from its small end; weights below 1e-6 tail_tol past the mode are dropped
-        weights = [p]
-        while k < mean or weights[-1] > 1e-6 * tail_tol:
-            k += 1
-            weights.append(weights[-1] * mean / k)
-        total, tail = sum(weights), 0.0
-        while k - 1 >= mean and tail + weights[-1] < tail_tol * total:
-            tail += weights.pop()
-            k -= 1
-        k_max = k
-    else:
-        cum = p
-        while 1.0 - cum >= tail_tol or k < mean:
-            k += 1
-            p *= mean / k
-            cum += p
-            k_max = k
-            if k > 10000:
-                raise DomainError("coherent truncation failed to converge")
+    # a log-space start passes its rounding (7e-12 relative at alpha = 80) to
+    # every weight, so judge the tail, summed from its small end, against the
+    # summed mass; weights below 1e-6 tail_tol past the mode are dropped
+    weights = [p]
+    while k < mean or weights[-1] > 1e-6 * tail_tol:
+        k += 1
+        weights.append(weights[-1] * mean / k)
+    total, tail = sum(weights), 0.0
+    while k - 1 >= mean and tail + weights[-1] < tail_tol * total:
+        tail += weights.pop()
+        k -= 1
+    k_max = k
     ks = np.arange(k_max + 1)
     log_c = -mean / 2.0 + ks * math.log(alpha) - 0.5 * np.array(
         [math.lgamma(k + 1.0) for k in range(k_max + 1)])

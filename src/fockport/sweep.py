@@ -21,7 +21,7 @@ from .quasi_epr import (FilterOrder, beta_q, filtered_input, ideal_resource,
 from .states import (RelativePhaseSpec, coherent_coefficients,
                      relative_phase_state)
 from .su2 import LANE_BUDGET
-from .teleport import _check_photon_number, _evaluate, evaluate_all, high_fidelity_region
+from .teleport import _check_photon_number, _evaluate, high_fidelity_region
 
 _DEFAULT_STEP = math.radians(0.5)
 
@@ -151,16 +151,15 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """
     spec.validate()
     target = coherent_coefficients(spec.alpha)
-    qs = None if spec.q_list == "all" else [int(q) for q in spec.q_list]
+    qs = (range(spec.N + target.k_max + 1) if spec.q_list == "all" else
+          [int(q) for q in spec.q_list])
     betas = spec.beta_grid.values()
     rows = []
     for beta, resource in zip(betas, _grid_resources(spec.resource_kind, spec.N, betas)):
         rep = quality(resource)
-        outcomes = (evaluate_all(target, resource, spec.parity_correction) if qs is None else
-                    _evaluate(target, resource, qs, spec.parity_correction))
         rows.extend((math.degrees(beta), res.q, res.fidelity, res.bound, res.probability,
                      rep.min_modulus, rep.zero_count, rep.flatness, rep.entropy)
-                    for res in outcomes)
+                    for res in _evaluate(target, resource, qs, spec.parity_correction))
     columns = ("beta_deg", "q", "fidelity", "bound", "probability",
                "min_modulus", "zero_count", "flatness", "entropy")
     meta = {"kind": "sweep", "spec": spec.echo(), "version": __version__}

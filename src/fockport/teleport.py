@@ -22,8 +22,6 @@ from .quasi_epr import QuasiEprResource
 from .states import CoherentTarget
 from .su2 import _check_unit_norm
 
-_ALIGN_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class MeasurementOutcome:

@@ -152,9 +152,10 @@ class TestCoherentTarget:
         loose = coherent_coefficients(2.0, tail_tol=1e-6)
         tight = coherent_coefficients(2.0, tail_tol=1e-14)
         assert loose.k_max < tight.k_max
-        # below the float spacing near 1, 1 - cum never drops under the tolerance
-        with pytest.raises(DomainError, match="failed to converge"):
-            coherent_coefficients(5.0, tail_tol=1e-17)
+        # below the float spacing near 1 the tail, summed from its small end,
+        # still reaches the tolerance at the mpmath cut
+        assert coherent_coefficients(5.0, tail_tol=1e-17).k_max == 78 > tight.k_max
+        assert exact_tail(5.0, 78) < 1e-17 <= exact_tail(5.0, 77)
 
     def test_coefficient_lookup(self):
         target = coherent_coefficients(1.0)
@@ -168,24 +169,20 @@ class TestCoherentTarget:
             CoherentTarget(1.0, 3, np.array([1.0, 0.0]))
 
 
-def reference_coherent(alpha, tail_tol=1e-12):
-    """(k_max, coeffs) as coherent_coefficients computed them with a forward sum from k = 0."""
-    mean = alpha * alpha
-    k_max = 0
-    p = math.exp(-mean)
-    cum = p
-    k = 0
-    while 1.0 - cum >= tail_tol or k < mean:
-        k += 1
-        p *= mean / k
-        cum += p
-        k_max = k
+def lgamma_coefficients(alpha, k_max):
+    """c_k = e^{-a^2/2} a^k / sqrt(k!) over k = 0..k_max, by lgamma, renormalized."""
     ks = np.arange(k_max + 1)
-    log_c = -mean / 2.0 + ks * math.log(alpha) - 0.5 * np.array(
+    log_c = -alpha * alpha / 2.0 + ks * math.log(alpha) - 0.5 * np.array(
         [math.lgamma(kk + 1.0) for kk in ks])
     c = np.exp(log_c)
     c /= np.linalg.norm(c)
-    return k_max, c
+    return c
+
+
+def exact_tail(alpha, k):
+    """Poisson mass beyond k at mean alpha^2, by mpmath's regularized incomplete gamma."""
+    with mpmath.workdps(30):
+        return mpmath.gammainc(k + 1, 0, mpmath.mpf(alpha * alpha), regularized=True)
 
 
 def poisson_tail(alpha, k_max):
@@ -197,16 +194,21 @@ def poisson_tail(alpha, k_max):
 
 
 class TestCoherentLargeAlpha:
-    # e^{-alpha^2} stays a normal float up to alpha ~ 26.6; every such alpha keeps
-    # the truncation and the coefficient bytes of the forward sum from k = 0
+    # e^{-alpha^2} stays a normal float up to alpha ~ 26.6, where the weights
+    # start at k = 0; a float 1 - cum cut one term off the exact one at 75 of
+    # 26,599 alpha on a 0.001 grid below 26.6, such as 2.565, 6.845 and 25.24
     @pytest.mark.parametrize("tail_tol", [1e-12, 1e-6])
-    def test_normal_start_keeps_forward_sum(self, tail_tol):
-        for alpha in [1e-200, 1e-3] + list(np.arange(0.05, 26.6, 0.11)) + [26.61]:
+    def test_normal_start_cuts_at_exact_tail(self, tail_tol):
+        for alpha in ([1e-200, 1e-3, 2.565, 6.845, 25.24]
+                      + list(np.arange(0.05, 26.6, 0.11)) + [26.61]):
             alpha = float(alpha)
-            k_max, coeffs = reference_coherent(alpha, tail_tol)
             target = coherent_coefficients(alpha, tail_tol)
-            assert target.k_max == k_max, alpha
-            assert target.coeffs.tobytes() == coeffs.tobytes(), alpha
+            k_max = target.k_max
+            # the first k_max >= alpha^2 whose tail is below tail_tol
+            assert k_max >= alpha * alpha, alpha
+            assert exact_tail(alpha, k_max) < tail_tol, alpha
+            assert k_max - 1 < alpha * alpha or exact_tail(alpha, k_max - 1) >= tail_tol, alpha
+            assert target.coeffs.tobytes() == lgamma_coefficients(alpha, k_max).tobytes(), alpha
 
     @pytest.mark.parametrize("alpha", [26.7, 27.25, 27.5, 30.0, 60.0])
     def test_past_exp_underflow(self, alpha):
