@@ -1,8 +1,8 @@
 """Deterministic grid sweeps over (beta, q) and canned figure datasets.
 
-All angles of a grid go through the column kernel together (a block of
-angles at a time, so memory stays bounded); rows are emitted in canonical
-(beta ascending, q ascending) order.
+All angles of a grid go through the column kernel and the teleport q loop
+together, a block of angles at a time so memory stays bounded; rows are
+emitted in canonical (beta ascending, q ascending) order.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .quasi_epr import (FilterOrder, beta_q, filtered_input, ideal_resource,
 from .states import (RelativePhaseSpec, coherent_coefficients,
                      relative_phase_state)
 from .su2 import LANE_BUDGET
-from .teleport import _check_photon_number, _evaluate, high_fidelity_region
+from .teleport import _check_count, _evaluate, _is_integer, high_fidelity_region
 
 _DEFAULT_STEP = math.radians(0.5)
 
@@ -67,7 +67,7 @@ class SweepSpec:
         errors = []
         if self.resource_kind not in RESOURCE_KINDS:
             errors.append(f"resource_kind: unknown kind {self.resource_kind!r}")
-        if not isinstance(self.N, (int, np.integer)) or self.N < 1:
+        if not _is_integer(self.N) or self.N < 1:
             errors.append(f"N: must be a positive integer, got {self.N!r}")
         elif self.resource_kind in _KIND_LEVEL and self.N % 2 != _KIND_LEVEL[self.resource_kind] % 2:
             need = "odd" if _KIND_LEVEL[self.resource_kind] % 2 else "even"
@@ -83,12 +83,15 @@ class SweepSpec:
             errors.append(f"alpha: must be >= 0, got {self.alpha}")
         if self.q_list != "all":
             try:
-                qs = [int(q) for q in self.q_list]
-            except (TypeError, ValueError):
+                qs = list(self.q_list)
+            except TypeError:
+                qs = [None]
+            if not all(map(_is_integer, qs)):
                 errors.append(f"q_list: must be 'all' or a list of integers, got {self.q_list!r}")
-            else:
-                if any(q < 0 for q in qs):
-                    errors.append("q_list: entries must be non-negative")
+            elif any(q < 0 for q in qs):
+                errors.append("q_list: entries must be non-negative")
+        if not isinstance(self.parity_correction, (bool, np.bool_)):
+            errors.append(f"parity_correction: must be a bool, got {self.parity_correction!r}")
         if errors:
             raise ValueError("invalid sweep spec: " + "; ".join(errors))
 
@@ -134,11 +137,11 @@ def resource_for_kind(kind: str, N: int, beta: float):
     return resources_for_kind(kind, N, [beta])[0]
 
 
-def _grid_resources(kind: str, N: int, betas):
-    """resources_for_kind over a grid, a block of angles at a time to bound memory."""
+def _grid_blocks(kind: str, N: int, betas):
+    """(angles, resources_for_kind at them) a block of angles at a time to bound memory."""
     block = max(1, LANE_BUDGET // (N + 1))
     for lo in range(0, len(betas), block):
-        yield from resources_for_kind(kind, N, betas[lo:lo + block])
+        yield betas[lo:lo + block], resources_for_kind(kind, N, betas[lo:lo + block])
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -155,11 +158,13 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
           [int(q) for q in spec.q_list])
     betas = spec.beta_grid.values()
     rows = []
-    for beta, resource in zip(betas, _grid_resources(spec.resource_kind, spec.N, betas)):
-        rep = quality(resource)
-        rows.extend((math.degrees(beta), res.q, res.fidelity, res.bound, res.probability,
-                     rep.min_modulus, rep.zero_count, rep.flatness, rep.entropy)
-                    for res in _evaluate(target, resource, qs, spec.parity_correction))
+    for angles, resources in _grid_blocks(spec.resource_kind, spec.N, betas):
+        stack = np.stack([resource.s for resource in resources])
+        outcomes = list(_evaluate(target, stack, qs, spec.parity_correction))
+        for i, (beta, resource) in enumerate(zip(angles, resources)):
+            deg, rep = math.degrees(beta), quality(resource)
+            rows.extend((deg, q, f[i], bound, p[i], rep.min_modulus, rep.zero_count,
+                         rep.flatness, rep.entropy) for q, f, bound, p in outcomes)
     columns = ("beta_deg", "q", "fidelity", "bound", "probability",
                "min_modulus", "zero_count", "flatness", "entropy")
     meta = {"kind": "sweep", "spec": spec.echo(), "version": __version__}
@@ -179,7 +184,7 @@ def find_beta_q_numeric(N: int, resource_kind: str = "j0",
     state": it tracks (pi/2)(1-1/N) to within one grid step for N >= 10.
     The ideal resource does not depend on beta, so it has no best angle.
     """
-    _check_photon_number(N)
+    _check_count(N, "N", 1)
     if resource_kind == "ideal":
         raise DomainError("the ideal resource does not depend on beta; it has no best angle")
     if objective not in ("min_modulus", "entropy", "min_fidelity_target"):
@@ -199,33 +204,34 @@ def find_beta_q_numeric(N: int, resource_kind: str = "j0",
             raise DomainError(f"no high-fidelity window at N = {N}")
         q_lo, q_hi = region
 
-    scores = np.empty(len(betas))
-    for i, resource in enumerate(_grid_resources(resource_kind, N, betas)):
-        if objective == "min_modulus":
-            scores[i] = quality(resource).min_modulus
-        elif objective == "entropy":
-            scores[i] = quality(resource).entropy
+    scores = []
+    for _, resources in _grid_blocks(resource_kind, N, betas):
+        if objective == "min_fidelity_target":
+            stack = np.stack([resource.s for resource in resources])
+            scores += _worst_fidelities(target, stack, range(q_lo, q_hi + 1))
         else:
-            scores[i] = _worst_fidelity(target, resource, range(q_lo, q_hi + 1))
+            scores += [getattr(quality(resource), objective) for resource in resources]
     return float(betas[int(np.argmax(scores))])
 
 
-def _worst_fidelity(target, resource, qs) -> float:
-    """Smallest fidelity(target, resource, q, True) over qs, in one pass over the windows."""
-    fidelities = [row.fidelity for row in _evaluate(target, resource, qs, True)]
-    if None in fidelities:
-        q = qs[fidelities.index(None)]
-        raise ImpossibleOutcomeError(f"outcome q = {q} has zero probability")
-    return min(fidelities)
+def _worst_fidelities(target, s, qs) -> list:
+    """Smallest fidelity(target, ., q, True) over qs for each resource row of the stack s."""
+    by_row = list(zip(*(f for _, f, _, _ in _evaluate(target, s, qs, True))))
+    for fidelities in by_row:
+        if None in fidelities:
+            q = qs[fidelities.index(None)]
+            raise ImpossibleOutcomeError(f"outcome q = {q} has zero probability")
+    return [min(fidelities) for fidelities in by_row]
 
 
 def _modulus_rows(kind: str, N: int, betas, with_phase: bool = False):
     rows = []
-    for beta, resource in zip(betas, _grid_resources(kind, N, betas)):
-        cells = [np.abs(resource.s).tolist()]
-        if with_phase:
-            cells.append(phase_distribution(resource).tolist())
-        rows.extend(zip(itertools.repeat(math.degrees(beta)), range(N + 1), *cells))
+    for angles, resources in _grid_blocks(kind, N, betas):
+        for beta, resource in zip(angles, resources):
+            cells = [np.abs(resource.s).tolist()]
+            if with_phase:
+                cells.append(phase_distribution(resource).tolist())
+            rows.extend(zip(itertools.repeat(math.degrees(beta)), range(N + 1), *cells))
     return rows
 
 

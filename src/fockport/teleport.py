@@ -92,42 +92,56 @@ class TeleportOutcome:
     probability: float
 
 
-def _evaluate(target: CoherentTarget, resource: QuasiEprResource, qs,
-              apply_parity_correction: bool):
-    """Yield the TeleportOutcome of each q in qs; P and F sum over k = k0..q in order.
+def _evaluate(target: CoherentTarget, s: np.ndarray, qs, apply_parity_correction: bool):
+    """Yield (q, F, bound, P) for each q in qs; P and F sum over k = k0..q in order.
 
-    c_k^2 over k = 0..N+k_max (zero-padded) and s_n, |s_n|^2 reversed are built
-    once, so q's window is the slice [k0:q+1] of the first against [N-q+k0:] of
-    the others (s_{q-k}).  Consecutive q with the same bound window (k0, min(q,
-    k_max)) share one bound sum.
+    s is one resource's s_n or a (B, N+1) stack of them, for which F and P are
+    lists over the rows.  c_k^2 over k = 0..N+k_max (zero-padded) and s_n,
+    |s_n|^2 reversed are built once, so q's window is [k0:q+1] of the first
+    against [..., N-q+k0:] of the others (s_{q-k}).  Each row is reduced on
+    its own (axis -1) and gets the bits of the 1-D call.  Consecutive q with
+    the same bound window (k0, min(q, k_max)) share one bound sum.
     """
-    N, k_max = resource.N, target.k_max
+    N, k_max = s.shape[-1] - 1, target.k_max
+    rows = len(s) if s.ndim == 2 else None
     c2 = np.concatenate((target.coeffs, np.zeros(N))) ** 2
-    s_rev = np.ascontiguousarray(resource.s[::-1])
+    s_rev = np.ascontiguousarray(s[..., ::-1])
     s2_rev = np.abs(s_rev) ** 2
-    # parity phase table over k = 0..N+k_max for q % 2, built when first needed
-    factors = functools.cache(lambda odd: _parity_factors(np.arange(N + k_max + 1), odd))
+    # c_k^2 times the parity phase over k = 0..N+k_max for q % 2, built when first needed; a
+    # phase of 1 or +-i multiplies exactly, so its place in the product does not change F
+    c2_phase = functools.cache(lambda odd: c2 * _parity_factors(np.arange(N + k_max + 1), odd))
     add = np.add.reduce
     window = bound = None
     for q in qs:
-        if q < 0:
-            raise DomainError(f"q must be non-negative, got {q}")
+        if type(q) is not int or q < 0:  # the common case costs one test
+            q = _check_count(q, "q", 0)
         if q > N + k_max:
-            yield TeleportOutcome(q, None, 0.0, 0.0)
+            yield (q, None, 0.0, 0.0) if rows is None else (q, [None] * rows, 0.0, [0.0] * rows)
             continue
         k0 = max(0, q - N)
         w = c2[k0:q + 1]
         lo = N - q + k0
-        p = float(add(w * s2_rev[lo:]))
-        num_vec = w * s_rev[lo:]
+        p = add(w * s2_rev[..., lo:], -1)
         if apply_parity_correction:
-            num_vec *= factors(q % 2)[k0:q + 1]
-        f = None if p <= 0.0 else float(abs(add(num_vec)) ** 2 / p)
+            w = c2_phase(q % 2)[k0:q + 1]
+        num = add(w * s_rev[..., lo:], -1)
+        # F = |num|^2 / P; Python's complex abs and float ** use libm's hypot and pow, as numpy's do
+        if rows is None:
+            p = float(p)
+            f = None if p <= 0.0 else float(abs(num) ** 2 / p)
+        else:
+            p = p.tolist()
+            f = [None if pb <= 0.0 else abs(z) ** 2 / pb for z, pb in zip(num.tolist(), p)]
         hi = min(q, k_max)
         if window != (k0, hi):
             window = (k0, hi)
-            bound = float(add(w[:hi - k0 + 1]))
-        yield TeleportOutcome(q, f, bound, p)
+            bound = float(add(c2[k0:hi + 1]))
+        yield q, f, bound, p
+
+
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; bool, although an int, is not one here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def evaluate_all(target: CoherentTarget, resource: QuasiEprResource,
@@ -138,12 +152,13 @@ def evaluate_all(target: CoherentTarget, resource: QuasiEprResource,
     windows are sliced from are built once instead of once per q.
     """
     qs = range(resource.N + target.k_max + 1)
-    return list(_evaluate(target, resource, qs, apply_parity_correction))
+    return [TeleportOutcome(*row) for row in _evaluate(target, resource.s, qs,
+                                                        apply_parity_correction)]
 
 
 def outcome_probability(target: CoherentTarget, resource: QuasiEprResource, q: int) -> float:
     """P(q) = sum_k |c_k|^2 |s_{q-k}|^2 over the reachable k window."""
-    return next(_evaluate(target, resource, (q,), False)).probability
+    return next(_evaluate(target, resource.s, (q,), False))[3]
 
 
 def post_measurement_state(target: CoherentTarget, resource: QuasiEprResource,
@@ -202,8 +217,9 @@ def fidelity(target: CoherentTarget, resource: QuasiEprResource, q: int,
     phase e^{i (-1)^q (pi/2) k^2}; moduli (and hence the denominator and
     the bound) are unchanged.
     """
-    f = None if q < 0 else next(
-        _evaluate(target, resource, (q,), apply_parity_correction)).fidelity
+    # a negative photon-number sum is an impossible outcome, not a bad argument
+    f = None if _is_integer(q) and q < 0 else next(
+        _evaluate(target, resource.s, (q,), apply_parity_correction))[1]
     if f is None:
         raise ImpossibleOutcomeError(f"outcome q = {q} has zero probability")
     return f
@@ -211,8 +227,7 @@ def fidelity(target: CoherentTarget, resource: QuasiEprResource, q: int,
 
 def fidelity_bound(target: CoherentTarget, q: int, N: int) -> float:
     """Partial target mass sum_{k0..q} |c_k|^2; F(q) never exceeds it."""
-    if q < 0:
-        raise DomainError(f"q must be non-negative, got {q}")
+    q, N = _check_count(q, "q", 0), _check_count(N, "N", 1)
     k0 = max(0, q - N)
     hi = min(q, target.k_max)
     if hi < k0:
@@ -235,9 +250,12 @@ def _mean_fidelity(outcomes) -> float:
     return total
 
 
-def _check_photon_number(N) -> None:
-    if not isinstance(N, (int, np.integer)) or N < 1:
-        raise DomainError(f"N must be a positive integer, got {N!r}")
+def _check_count(value, name: str, lo: int) -> int:
+    """value as an int (numpy unsigned ones would wrap in q - N), if it is an integer >= lo."""
+    if not _is_integer(value) or value < lo:
+        kind = "positive" if lo else "non-negative"
+        raise DomainError(f"{name} must be a {kind} integer, got {value!r}")
+    return int(value)
 
 
 def high_fidelity_region(alpha: float, N: int) -> tuple[int, int] | None:
@@ -245,7 +263,7 @@ def high_fidelity_region(alpha: float, N: int) -> tuple[int, int] | None:
 
     Returns None when the bounds cross (no high-fidelity outcomes exist).
     """
-    _check_photon_number(N)
+    _check_count(N, "N", 1)
     if not math.isfinite(alpha) or alpha < 0:
         raise DomainError(f"alpha must be finite and non-negative, got {alpha}")
     lo = math.ceil(alpha * alpha + alpha)
@@ -258,4 +276,4 @@ def high_fidelity_region(alpha: float, N: int) -> tuple[int, int] | None:
 def evaluate_outcome(target: CoherentTarget, resource: QuasiEprResource, q: int,
                      apply_parity_correction: bool = False) -> TeleportOutcome:
     """Bundle F(q), its bound, and P(q); unreachable q yields fidelity None."""
-    return next(_evaluate(target, resource, (q,), apply_parity_correction))
+    return TeleportOutcome(*next(_evaluate(target, resource.s, (q,), apply_parity_correction)))

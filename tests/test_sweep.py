@@ -18,6 +18,7 @@ from fockport import (
     SweepSpec,
     beta_q,
     coherent_coefficients,
+    evaluate_outcome,
     fidelity,
     figure_dataset,
     filtered_input,
@@ -29,7 +30,8 @@ from fockport import (
     resources_for_kind,
     run_sweep,
 )
-from fockport.sweep import _worst_fidelity, stamp
+from fockport import sweep
+from fockport.sweep import _worst_fidelities, stamp
 
 PI = math.pi
 
@@ -90,12 +92,26 @@ class TestSweepSpec:
             (dict(beta_grid=BetaGrid(1.0, 2.0, math.nan)), "beta_grid"),
             (dict(beta_grid=BetaGrid(math.nan, 2.0, 0.1)), "beta_grid"),
             (dict(beta_grid=BetaGrid(1.0, math.inf, 0.1)), "beta_grid"),
+            (dict(q_list=[2.5, True]), "q_list"),  # once run as q = 2 and q = 1
+            (dict(q_list=[True]), "q_list"),
+            (dict(q_list=[9.0]), "q_list"),
+            (dict(q_list=["9"]), "q_list"),
+            (dict(q_list="9"), "q_list"),
+            (dict(parity_correction="no"), "parity_correction"),  # once ran with the correction
+            (dict(parity_correction=1), "parity_correction"),
+            (dict(parity_correction=None), "parity_correction"),
+            (dict(resource_kind="2pt", N=True), "N: must be a positive integer"),
         ],
     )
     def test_invalid_specs_name_the_field(self, overrides, needle):
         with pytest.raises(ValueError, match="invalid sweep spec") as err:
             self.good_spec(**overrides).validate()
         assert needle in str(err.value)
+
+    def test_numpy_integers_and_bools_pass(self):
+        self.good_spec(N=np.int64(10), q_list=(np.int64(9), 10, np.uint8(3)),
+                       parity_correction=np.bool_(False)).validate()
+        self.good_spec(q_list=range(3, 12)).validate()
 
     def test_errors_aggregate(self):
         with pytest.raises(ValueError) as err:
@@ -233,6 +249,95 @@ class TestRunSweep:
         assert "version" in result.meta
 
 
+def _hex(value):
+    return None if value is None else value.hex()
+
+
+def _hex_rows(rows):
+    return [[_hex(v) if isinstance(v, float) else v for v in row] for row in rows]
+
+
+# every resource kind at an N its filter level allows
+GRID_KINDS = [("j0", 20), ("2pt", 21), ("3pt", 40), ("4pt", 41), ("ideal", 12),
+              ("relative-phase-input", 30)]
+
+
+class TestGridPathMatchesPerAnglePath:
+    """run_sweep evaluates a block of angles per q loop; each cell must keep its bits."""
+
+    @staticmethod
+    def assert_rows_match(spec):
+        rows = run_sweep(spec).rows
+        target = coherent_coefficients(spec.alpha)
+        qs = (range(spec.N + target.k_max + 1) if spec.q_list == "all" else spec.q_list)
+        betas = spec.beta_grid.values()
+        assert len(rows) == len(betas) * len(qs)
+        cells = iter(rows)
+        for beta in betas:
+            resource = resource_for_kind(spec.resource_kind, spec.N, beta)
+            for q in qs:
+                row = next(cells)
+                want = evaluate_outcome(target, resource, q, spec.parity_correction)
+                assert row[:2] == (math.degrees(beta), q)
+                assert [_hex(v) for v in row[2:5]] == [
+                    _hex(want.fidelity), _hex(want.bound), _hex(want.probability)], (beta, q)
+
+    @pytest.mark.parametrize("parity", [False, True])
+    @pytest.mark.parametrize("kind, N", GRID_KINDS)
+    def test_all_q(self, kind, N, parity):
+        grid = BetaGrid(math.radians(3.0), math.radians(177.0), math.radians(8.7))
+        self.assert_rows_match(SweepSpec(kind, N, grid, alpha=2.5, q_list="all",
+                                         parity_correction=parity))
+
+    @pytest.mark.parametrize("parity", [False, True])
+    @pytest.mark.parametrize("kind, N", GRID_KINDS)
+    def test_q_list_past_the_support(self, kind, N, parity):
+        # N + k_max at alpha = 1 is N + 14: the last two entries are unreachable
+        grid = BetaGrid(math.radians(40.0), math.radians(90.0), math.radians(2.5))
+        q_list = [N, 0, 3, 7, 7, N + 14, N + 15, 10 ** 6]
+        self.assert_rows_match(SweepSpec(kind, N, grid, alpha=1.0, q_list=q_list,
+                                         parity_correction=parity))
+
+    def test_long_windows_past_the_pairwise_block(self):
+        # numpy sums windows of more than 128 terms pairwise in blocks
+        grid = BetaGrid(math.radians(85.0), math.radians(90.0), math.radians(0.5))
+        self.assert_rows_match(SweepSpec("j0", 300, grid, alpha=6.0, q_list=list(range(0, 345, 7)),
+                                         parity_correction=True))
+
+
+class TestSmallBlocks:
+    """A small LANE_BUDGET splits one grid into several blocks; nothing may change."""
+
+    @pytest.mark.parametrize("parity", [False, True])
+    @pytest.mark.parametrize("kind, N", GRID_KINDS)
+    def test_sweep_rows_unchanged(self, monkeypatch, kind, N, parity):
+        spec = SweepSpec(kind, N, BetaGrid(math.radians(45.0), math.radians(90.0),
+                                           math.radians(1.5)), alpha=2.0, q_list="all",
+                         parity_correction=parity)
+        whole = run_sweep(spec).rows
+        monkeypatch.setattr(sweep, "LANE_BUDGET", 7 * (N + 1) + 3)  # 31 angles: 7+7+7+7+3
+        blocks = [angles for angles, _ in sweep._grid_blocks(kind, N, spec.beta_grid.values())]
+        assert [len(angles) for angles in blocks] == [7, 7, 7, 7, 3]
+        assert _hex_rows(run_sweep(spec).rows) == _hex_rows(whole)
+
+    @pytest.mark.parametrize("kind, N", [("j0", 20), ("2pt", 21), ("3pt", 40), ("4pt", 41)])
+    def test_fidelity_angle_unchanged(self, monkeypatch, kind, N):
+        whole = find_beta_q_numeric(N, kind, "min_fidelity_target")
+        monkeypatch.setattr(sweep, "LANE_BUDGET", 11 * (N + 1))
+        assert find_beta_q_numeric(N, kind, "min_fidelity_target") == whole
+
+    @pytest.mark.parametrize("order, bad_q", [((0, 1, 2), 15), ((0, 2, 1), 2)])
+    def test_impossible_outcome_names_the_first_bad_row(self, order, bad_q):
+        # P(q) = 0 past k_max = 14 for s = e_0 and below q = N for s = e_N; the first such row
+        # in the stack is the one named
+        target = coherent_coefficients(1.0)
+        flat, first, last = np.full(41, 41 ** -0.5), np.zeros(41), np.zeros(41)
+        first[0] = last[40] = 1.0
+        stack = np.stack([(flat, first, last)[i] for i in order]).astype(complex)
+        with pytest.raises(ImpossibleOutcomeError, match=f"q = {bad_q} "):
+            _worst_fidelities(target, stack, range(2, 41))
+
+
 class TestFindBetaQ:
     @pytest.mark.parametrize("N, expected_deg", [(10, 81.0), (20, 85.0), (40, 87.5)])
     def test_tracks_formula_within_one_step(self, N, expected_deg):
@@ -263,16 +368,16 @@ class TestFindBetaQ:
     def test_fidelity_scores_equal_the_per_q_loop(self, kind, N):
         target = coherent_coefficients(1.0)
         qs = range(2, N + 1)  # the unit-alpha high-fidelity window
-        for resource in resources_for_kind(kind, N, [0.3, 1.2, beta_q(N), PI / 2]):
-            want = min(fidelity(target, resource, q, True) for q in qs)
-            assert _worst_fidelity(target, resource, qs) == want
+        resources = resources_for_kind(kind, N, [0.3, 1.2, beta_q(N), PI / 2])
+        want = [min(fidelity(target, resource, q, True) for q in qs) for resource in resources]
+        assert _worst_fidelities(target, np.stack([r.s for r in resources]), qs) == want
 
     def test_fidelity_score_refuses_an_impossible_outcome(self):
         target = coherent_coefficients(1.0)
         s = np.zeros(41)
         s[0] = 1.0  # P(q) = 0 for every q past the target's k_max
         with pytest.raises(ImpossibleOutcomeError, match=f"q = {target.k_max + 1} "):
-            _worst_fidelity(target, QuasiEprResource(40, s), range(2, 41))
+            _worst_fidelities(target, QuasiEprResource(40, s).s[None], range(2, 41))
 
     @pytest.mark.parametrize("step, error", [(0.0, DomainError), (-0.1, DomainError),
                                              (math.nan, DomainError), (1e-9, SizeCapError),

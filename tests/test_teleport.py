@@ -1,6 +1,7 @@
 """Conditional collapse, reconstruction, fidelity, and bounds."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -527,6 +528,32 @@ class TestExactnessLongWindowsAndSweeps:
 
 
 class TestEdgeBehaviour:
+    @pytest.mark.parametrize("q", [2.5, 3.0, np.float64(3), True, False, np.bool_(True), "3",
+                                   None, math.nan])
+    def test_q_that_is_not_an_integer_is_refused(self, unit_target, small_resource, q):
+        # these once raised TypeError from the slicing inside the q loop
+        for call in (lambda: fidelity(unit_target, small_resource, q),
+                     lambda: fidelity(unit_target, small_resource, q, True),
+                     lambda: evaluate_outcome(unit_target, small_resource, q),
+                     lambda: outcome_probability(unit_target, small_resource, q),
+                     lambda: fidelity_bound(unit_target, q, small_resource.N)):
+            message = f"q must be a non-negative integer, got {q!r}"
+            with pytest.raises(DomainError, match=re.escape(message)):
+                call()
+
+    @pytest.mark.parametrize("N", [-5, 0, True, 4.0, np.float64(4), "4", None])
+    def test_fidelity_bound_refuses_a_bad_n(self, unit_target, N):
+        with pytest.raises(DomainError, match="N must be a positive integer"):
+            fidelity_bound(unit_target, 3, N)
+
+    @pytest.mark.parametrize("q", [np.int64(3), np.int32(3), np.uint8(3)])
+    def test_numpy_integer_q_is_accepted(self, unit_target, small_resource, q):
+        # an unsigned q once wrapped in q - N: k0 = 255 here
+        assert evaluate_outcome(unit_target, small_resource, q) == evaluate_outcome(
+            unit_target, small_resource, 3)
+        assert fidelity_bound(unit_target, q, np.int64(4)) == fidelity_bound(unit_target, 3, 4)
+        assert fidelity(unit_target, small_resource, q) == fidelity(unit_target, small_resource, 3)
+
     def test_probability_past_support_and_negative(self, unit_target, small_resource):
         last = small_resource.N + unit_target.k_max
         assert outcome_probability(unit_target, small_resource, last + 1) == 0.0
