@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 usage error, 3 domain/numeric error.
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import itertools
 import json
@@ -23,7 +22,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from ._version import __version__
-from .errors import DomainError
+from .errors import DomainError, _check_real
 from .quasi_epr import phase_distribution, resource_from_state
 from .states import coherent_coefficients
 from .su2 import SpinJ, SpinProjection, SpinState, basis_state, rotate_about_x
@@ -162,15 +161,11 @@ def _angle_deg(value: float, name: str) -> float:
 
 def _amplitude(entry) -> complex:
     """One [re, im] entry of a state file as a finite complex number."""
-    if (isinstance(entry, list) and len(entry) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)):
+    if isinstance(entry, list) and len(entry) == 2:
         try:
-            z = complex(float(entry[0]), float(entry[1]))
-        except OverflowError:  # an integer beyond the float range
+            return complex(*(_check_real(v, "amplitude") for v in entry))
+        except DomainError:
             pass
-        else:
-            if cmath.isfinite(z):
-                return z
     raise DomainError(f"state file entries must be [re, im] pairs of finite numbers, "
                       f"got {entry!r}")
 
@@ -294,8 +289,10 @@ def _spec_from_mapping(raw: dict) -> SweepSpec:
     step = _spec_number(raw.get("beta_step_deg", 0.5), "beta_step_deg")
     grid = BetaGrid(math.radians(_angle_deg(start, "beta_start_deg")),
                     math.radians(_angle_deg(stop, "beta_stop_deg")), math.radians(step))
-    return SweepSpec(str(kind), _spec_number(raw.get("n"), "n", integer=True), grid,
-                     _spec_number(raw.get("alpha", 0.0), "alpha"), q_list, corr)
+    # a non-finite alpha is a domain error (exit 3) here as in teleport, not a spec error
+    alpha = _check_real(_spec_number(raw.get("alpha", 0.0), "alpha"), "alpha")
+    return SweepSpec(str(kind), _spec_number(raw.get("n"), "n", integer=True), grid, alpha,
+                     q_list, corr)
 
 
 def cmd_sweep(args) -> int:

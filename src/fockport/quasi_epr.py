@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_count, _check_real
 from .su2 import (SpinJ, SpinProjection, SpinState, _check_unit_norm, basis_state,
                   rotate_about_x_grid, wigner_d_column)
 
@@ -30,6 +30,7 @@ class FilterOrder:
     twice_level: int
 
     def __post_init__(self):
+        object.__setattr__(self, "twice_level", _check_count(self.twice_level, "twice_level", None))
         if self.twice_level not in (0, 1, 2, 3):
             raise DomainError(f"twice_level must be one of 0..3, got {self.twice_level}")
 
@@ -52,6 +53,7 @@ class QuasiEprResource:
     def __post_init__(self):
         s = np.asarray(self.s, dtype=complex)
         object.__setattr__(self, "s", s)
+        object.__setattr__(self, "N", _check_count(self.N, "N", 0))
         if s.shape != (self.N + 1,):
             raise DomainError(f"s must have length {self.N + 1}, got {s.shape}")
         _check_unit_norm(s, "resource")
@@ -79,7 +81,7 @@ def f_coefficient(j: SpinJ, m_out: SpinProjection, beta: float = math.pi / 2,
     col = wigner_d_column(j, m_out, beta).values  # col[i] = d^j_{m_i, m'}
     tms = np.arange(tj + 1) * 2 - tj
     signs = (-1.0) ** (((tmp - tms) // 2) % 2)
-    chi = phi0 + math.pi / 2.0
+    chi = _check_real(phi0, "phi0") + math.pi / 2.0
     phases = np.exp(1j * chi * (tms / 2.0))
     return complex(np.sum(phases * signs * col))
 
@@ -91,6 +93,7 @@ def filtered_input(N: int, order: FilterOrder) -> SpinState:
     levels 1 and 3/2 weight the kept components by the f-coefficients at
     beta = pi/2, phi0 = 0 and renormalize.
     """
+    N = _check_count(N, "N", 0)
     if N < order.twice_level:
         raise DomainError(f"N = {N} too small for filter level {order.level}")
     if N % 2 != order.twice_level % 2:
@@ -116,8 +119,7 @@ def filtered_input(N: int, order: FilterOrder) -> SpinState:
 
 def beta_q(N: int) -> float:
     """Best beam-splitter angle (pi/2)(1 - 1/N) for the level-0 input."""
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N}")
+    N = _check_count(N, "N", 1)
     return (math.pi / 2.0) * (1.0 - 1.0 / N)
 
 
@@ -138,8 +140,7 @@ def make_resource(input_state: SpinState, beta: float) -> QuasiEprResource:
 
 def ideal_resource(N: int) -> QuasiEprResource:
     """Perfectly flat resource s_n = 1/sqrt(N+1)."""
-    if N < 0:
-        raise DomainError(f"N must be >= 0, got {N}")
+    N = _check_count(N, "N", 0)
     SpinJ(N)  # the photon-number cap, before the amplitudes are allocated
     return QuasiEprResource(N, np.full(N + 1, 1.0 / math.sqrt(N + 1), dtype=complex))
 
@@ -175,6 +176,6 @@ def phase_distribution(resource: QuasiEprResource, zero_tol: float = _ZERO_TOL) 
     positive float, zeroes exact zeros only.
     """
     phases = np.angle(resource.s)
-    phases[np.abs(resource.s) < zero_tol] = 0.0
+    phases[np.abs(resource.s) < _check_real(zero_tol, "zero_tol")] = 0.0
     phases[phases <= -math.pi + 1e-12] = math.pi
     return phases

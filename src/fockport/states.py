@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_count, _check_real
 from .su2 import SpinJ, SpinProjection, SpinState, _check_projection
 
 
@@ -25,8 +25,8 @@ class TwoModeIndex:
     n_b: int
 
     def __post_init__(self):
-        if self.n_a < 0 or self.n_b < 0:
-            raise DomainError(f"photon numbers must be non-negative, got ({self.n_a}, {self.n_b})")
+        for name in ("n_a", "n_b"):
+            object.__setattr__(self, name, _check_count(getattr(self, name), name, 0))
 
     @property
     def total(self) -> int:
@@ -53,10 +53,10 @@ class RelativePhaseSpec:
     phi0: float = 0.0
 
     def __post_init__(self):
-        if self.N < 0:
-            raise DomainError(f"N must be non-negative, got {self.N}")
-        if not 0 <= self.r <= self.N:
+        object.__setattr__(self, "N", _check_count(self.N, "N", 0))
+        if not 0 <= _check_count(self.r, "r", None) <= self.N:
             raise DomainError(f"r must lie in [0, {self.N}], got {self.r}")
+        _check_real(self.phi0, "phi0")
 
     @property
     def phi(self) -> float:
@@ -78,12 +78,10 @@ class GeneralPhaseSpec:
     thetas: tuple
 
     def __post_init__(self):
-        thetas = tuple(float(t) for t in self.thetas)
-        object.__setattr__(self, "thetas", thetas)
-        if self.N < 0:
-            raise DomainError(f"N must be non-negative, got {self.N}")
-        if len(thetas) != self.N + 1:
-            raise DomainError(f"thetas must have length {self.N + 1}, got {len(thetas)}")
+        object.__setattr__(self, "thetas", tuple(_check_real(t, "theta") for t in self.thetas))
+        object.__setattr__(self, "N", _check_count(self.N, "N", 0))
+        if len(self.thetas) != self.N + 1:
+            raise DomainError(f"thetas must have length {self.N + 1}, got {len(self.thetas)}")
 
 
 def general_phase_state(spec: GeneralPhaseSpec) -> SpinState:
@@ -107,13 +105,14 @@ class CoherentTarget:
     def __post_init__(self):
         c = np.asarray(self.coeffs, dtype=float)
         object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "k_max", _check_count(self.k_max, "k_max", 0))
         if c.shape != (self.k_max + 1,):
             raise DomainError(f"coeffs must have length {self.k_max + 1}, got {c.shape}")
+        _check_real(self.alpha, "alpha", 0)
 
     def coefficient(self, k: int) -> float:
         """c_k, zero beyond the truncation."""
-        if k < 0:
-            raise DomainError(f"k must be non-negative, got {k}")
+        k = _check_count(k, "k", 0)
         return float(self.coeffs[k]) if k <= self.k_max else 0.0
 
     def weights(self) -> np.ndarray:
@@ -123,9 +122,8 @@ class CoherentTarget:
 
 def coherent_coefficients(alpha: float, tail_tol: float = 1e-12) -> CoherentTarget:
     """Coherent-state coefficient vector truncated at tail mass < tail_tol."""
-    if not math.isfinite(alpha) or alpha < 0:
-        raise DomainError(f"alpha must be finite and non-negative, got {alpha}")
-    if not tail_tol > 0.0:  # no truncation leaves a tail of zero mass
+    alpha = _check_real(alpha, "alpha", 0)
+    if not _check_real(tail_tol, "tail_tol") > 0.0:  # no truncation leaves a tail of zero mass
         raise DomainError(f"tail_tol must be positive, got {tail_tol}")
     if alpha == 0.0:
         return CoherentTarget(0.0, 0, np.array([1.0]))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SizeCapError
+from .errors import DomainError, SizeCapError, _check_count, _check_real
 
 _NORM_TOL = 1e-10
 _FLUSH = 1e-300  # amplitudes below this modulus are flushed to exact zero
@@ -54,8 +54,7 @@ class SpinJ:
     twice_j: int
 
     def __post_init__(self):
-        if not isinstance(self.twice_j, (int, np.integer)) or self.twice_j < 0:
-            raise DomainError(f"twice_j must be a non-negative integer, got {self.twice_j!r}")
+        object.__setattr__(self, "twice_j", _check_count(self.twice_j, "twice_j", 0))
         if self.twice_j > MAX_TWICE_J:
             raise SizeCapError(f"photon number N = twice_j = {self.twice_j} exceeds the cap "
                                f"{MAX_TWICE_J}")
@@ -76,8 +75,7 @@ class SpinProjection:
     twice_m: int
 
     def __post_init__(self):
-        if not isinstance(self.twice_m, (int, np.integer)):
-            raise DomainError(f"twice_m must be an integer, got {self.twice_m!r}")
+        object.__setattr__(self, "twice_m", _check_count(self.twice_m, "twice_m", None))
 
     @property
     def m(self) -> float:
@@ -148,6 +146,7 @@ class WignerColumn:
         object.__setattr__(self, "values", vals)
         if vals.shape != (self.j.dim,):
             raise DomainError(f"column must have length {self.j.dim}, got {vals.shape}")
+        _check_real(self.beta, "beta")
 
     def value(self, m_out: SpinProjection) -> float:
         _check_projection(self.j, m_out, "m_out")
@@ -161,12 +160,12 @@ class BeamSplitterAngle:
     beta: float
 
     def __post_init__(self):
-        if not 0.0 <= self.beta <= math.pi:
+        if not 0.0 <= _check_real(self.beta, "beta") <= math.pi:
             raise DomainError(f"beta must lie in [0, pi], got {self.beta}")
 
     @classmethod
     def from_reflectivity(cls, reflectivity: float) -> "BeamSplitterAngle":
-        if not 0.0 <= reflectivity <= 1.0:
+        if not 0.0 <= _check_real(reflectivity, "reflectivity") <= 1.0:
             raise DomainError(f"reflectivity must lie in [0, 1], got {reflectivity}")
         return cls(2.0 * math.acos(math.sqrt(reflectivity)))
 
@@ -188,11 +187,16 @@ def wigner_d_element(j: SpinJ, m_out: SpinProjection, m_in: SpinProjection, beta
 
     Factorial products are kept as exact integers and each term carries a
     single correctly rounded sqrt, so the only loss is the alternating-sum
-    cancellation itself (negligible up to twice_j ~ 60; use wigner_d_column
-    for large j).
+    cancellation itself.  That loss is below 1e-10 up to twice_j = 60 and
+    grows fast past it (4e-4 at twice_j = 100; |d| > 1 by 150; the terms
+    overflow a float past ~520), so the sum is capped at twice_j = 60: use
+    wigner_d_column for large j.
     """
+    if j.twice_j > 60:
+        raise SizeCapError(f"wigner_d_element is capped at twice_j = 60, got {j.twice_j}")
     _check_projection(j, m_out, "m_out")
     _check_projection(j, m_in, "m_in")
+    beta = _check_real(beta, "beta")
     tj = j.twice_j
     tmp, tm = m_out.twice_m, m_in.twice_m
     a = (tj + tmp) // 2  # j + m'
@@ -384,11 +388,7 @@ def _recurrence_columns(tj: int, tms: np.ndarray, betas) -> np.ndarray:
 
 def _check_angles(betas) -> list:
     """Angles as floats; NaN and infinities are refused here, overflowing columns by the kernel."""
-    betas = [float(b) for b in betas]
-    for beta in betas:
-        if not math.isfinite(beta):
-            raise DomainError(f"beta must be finite, got {beta}")
-    return betas
+    return [_check_real(beta, "beta") for beta in betas]
 
 
 def _columns(tj: int, tms, betas) -> np.ndarray:
@@ -450,7 +450,7 @@ def brute_force_rotation(j: SpinJ, beta: float) -> np.ndarray:
     jx[ii, ii + 1] = off
     jx[ii + 1, ii] = off
     evals, evecs = np.linalg.eigh(jx)
-    return (evecs * np.exp(1j * beta * evals)) @ evecs.T
+    return (evecs * np.exp(1j * _check_real(beta, "beta") * evals)) @ evecs.T
 
 
 def rotate_about_x_grid(state: SpinState, betas) -> list:
@@ -476,5 +476,5 @@ def rotate_about_x(state: SpinState, beta: float) -> SpinState:
 
 def phase_shift(state: SpinState, theta: float) -> SpinState:
     """Relative phase shift: amplitude at projection m gains e^{i theta m}."""
-    phases = np.exp(1j * theta * (state.twice_m_values() / 2.0))
+    phases = np.exp(1j * _check_real(theta, "theta") * (state.twice_m_values() / 2.0))
     return SpinState(state.j, state.amplitudes * phases)

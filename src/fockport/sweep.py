@@ -15,13 +15,14 @@ from datetime import datetime, timezone
 import numpy as np
 
 from ._version import __version__
-from .errors import DomainError, ImpossibleOutcomeError, SizeCapError
+from .errors import (DomainError, ImpossibleOutcomeError, SizeCapError, _check_count,
+                     _check_real, _is_integer)
 from .quasi_epr import (FilterOrder, beta_q, filtered_input, ideal_resource,
                         make_resources, phase_distribution, quality)
 from .states import (RelativePhaseSpec, coherent_coefficients,
                      relative_phase_state)
 from .su2 import LANE_BUDGET
-from .teleport import _check_count, _evaluate, _is_integer, high_fidelity_region
+from .teleport import _evaluate, high_fidelity_region
 
 _DEFAULT_STEP = math.radians(0.5)
 
@@ -44,12 +45,13 @@ class BetaGrid:
     step: float = _DEFAULT_STEP
 
     def values(self) -> np.ndarray:
-        if self.step <= 0.0 or self.stop < self.start:
+        start, stop, step = (_check_real(getattr(self, f), f) for f in ("start", "stop", "step"))
+        if step <= 0.0 or stop < start:
             return np.array([])
-        points = (self.stop - self.start) / self.step + 1e-9
+        points = (stop - start) / step + 1e-9
         if not points < MAX_GRID_POINTS:
             raise SizeCapError(f"beta grid exceeds {MAX_GRID_POINTS} points")
-        return self.start + self.step * np.arange(int(math.floor(points)) + 1)
+        return start + step * np.arange(int(math.floor(points)) + 1)
 
 
 @dataclass(frozen=True)
@@ -72,20 +74,20 @@ class SweepSpec:
         elif self.resource_kind in _KIND_LEVEL and self.N % 2 != _KIND_LEVEL[self.resource_kind] % 2:
             need = "odd" if _KIND_LEVEL[self.resource_kind] % 2 else "even"
             errors.append(f"N: resource {self.resource_kind!r} requires {need} N, got {self.N}")
-        grid = self.beta_grid
-        if not all(math.isfinite(v) for v in (grid.start, grid.stop, grid.step)):
-            errors.append("beta_grid: start, stop and step must be finite")
-        elif grid.step <= 0.0:
-            errors.append(f"beta_grid: step must be > 0, got {grid.step}")
-        elif len(grid.values()) == 0:
-            errors.append("beta_grid: empty grid")
-        if self.alpha < 0:
-            errors.append(f"alpha: must be >= 0, got {self.alpha}")
-        if self.q_list != "all":
-            try:
-                qs = list(self.q_list)
-            except TypeError:
-                qs = [None]
+        try:
+            if len(self.beta_grid.values()) == 0:
+                errors.append("beta_grid: empty grid: step must be > 0 and start <= stop")
+        except SizeCapError:
+            raise
+        except DomainError as exc:
+            errors.append(f"beta_grid: {exc}")
+        try:
+            _check_real(self.alpha, "alpha", 0)
+        except DomainError as exc:
+            errors.append(str(exc))
+        if not (isinstance(self.q_list, str) and self.q_list == "all"):
+            # a generator would be used up here; an array compares elementwise to "all"
+            qs = self.q_list if isinstance(self.q_list, (list, tuple, range)) else [None]
             if not all(map(_is_integer, qs)):
                 errors.append(f"q_list: must be 'all' or a list of integers, got {self.q_list!r}")
             elif any(q < 0 for q in qs):
@@ -153,12 +155,13 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     None and probability 0.
     """
     spec.validate()
+    N = int(spec.N)  # a numpy unsigned N would wrap in N + k_max
     target = coherent_coefficients(spec.alpha)
-    qs = (range(spec.N + target.k_max + 1) if spec.q_list == "all" else
+    qs = (range(N + target.k_max + 1) if spec.q_list == "all" else
           [int(q) for q in spec.q_list])
     betas = spec.beta_grid.values()
     rows = []
-    for angles, resources in _grid_blocks(spec.resource_kind, spec.N, betas):
+    for angles, resources in _grid_blocks(spec.resource_kind, N, betas):
         stack = np.stack([resource.s for resource in resources])
         outcomes = list(_evaluate(target, stack, qs, spec.parity_correction))
         for i, (beta, resource) in enumerate(zip(angles, resources)):
@@ -184,12 +187,12 @@ def find_beta_q_numeric(N: int, resource_kind: str = "j0",
     state": it tracks (pi/2)(1-1/N) to within one grid step for N >= 10.
     The ideal resource does not depend on beta, so it has no best angle.
     """
-    _check_count(N, "N", 1)
+    N = _check_count(N, "N", 1)
     if resource_kind == "ideal":
         raise DomainError("the ideal resource does not depend on beta; it has no best angle")
     if objective not in ("min_modulus", "entropy", "min_fidelity_target"):
         raise DomainError(f"unknown objective {objective!r}")
-    if not step > 0.0:
+    if not _check_real(step, "step") > 0.0:
         raise DomainError(f"step must be > 0, got {step}")
     points = (math.pi / 2) / step + 1e-9
     if not points < MAX_GRID_POINTS:
@@ -265,6 +268,7 @@ def figure_dataset(figure_id: int) -> SweepResult:
     7: fidelity/bound/probability vs beta at q=19, level-0, N=20, alpha=3,
        parity correction on.
     """
+    figure_id = _check_count(figure_id, "figure_id", 1)
     meta = {"kind": "figure", "figure": figure_id}
     if figure_id in _MODULUS_FIGURES:
         kind, N, betas, with_phase = _MODULUS_FIGURES[figure_id]

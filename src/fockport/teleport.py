@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ImpossibleOutcomeError
+from .errors import DomainError, ImpossibleOutcomeError, _check_count, _check_real, _is_integer
 from .quasi_epr import QuasiEprResource
 from .states import CoherentTarget
 from .su2 import _check_unit_norm
@@ -32,10 +32,10 @@ class MeasurementOutcome:
     phi0: float = 0.0
 
     def __post_init__(self):
-        if self.q < 0:
-            raise DomainError(f"q must be non-negative, got {self.q}")
-        if not 0 <= self.s_index <= self.q:
+        object.__setattr__(self, "q", _check_count(self.q, "q", 0))
+        if not 0 <= _check_count(self.s_index, "s_index", None) <= self.q:
             raise DomainError(f"s_index must lie in [0, {self.q}], got {self.s_index}")
+        _check_real(self.phi0, "phi0")
 
     @property
     def phase(self) -> float:
@@ -54,6 +54,8 @@ class BobState:
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", amps)
+        for name in ("N", "q"):
+            object.__setattr__(self, name, _check_count(getattr(self, name), name, 0))
         if amps.shape != (self.q - self.k0 + 1,):
             raise DomainError(
                 f"amplitudes must cover k = {self.k0}..{self.q}, got length {amps.shape[0]}")
@@ -139,11 +141,6 @@ def _evaluate(target: CoherentTarget, s: np.ndarray, qs, apply_parity_correction
         yield q, f, bound, p
 
 
-def _is_integer(value) -> bool:
-    """A Python or numpy integer; bool, although an int, is not one here."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def evaluate_all(target: CoherentTarget, resource: QuasiEprResource,
                  apply_parity_correction: bool = False) -> list[TeleportOutcome]:
     """evaluate_outcome for every q = 0..N+k_max, in q order, in one pass.
@@ -177,6 +174,7 @@ def post_measurement_state(target: CoherentTarget, resource: QuasiEprResource,
     ks = np.arange(max(0, q - resource.N), q + 1)
     ck = np.concatenate((target.coeffs, np.zeros(q + 1)))[ks]
     phi = outcome.phase if measurement_phase is None else measurement_phase
+    phi = _check_real(phi, "measurement_phase")
     amps = np.exp(-1j * phi * ks) * ck * resource.s[q - ks] / math.sqrt(weight)
     return BobState(resource.N, q, amps)
 
@@ -191,8 +189,9 @@ def reconstruct(bob: BobState, resource_phase_offset: float,
     up to a global phase.
     """
     phi = outcome.phase if measurement_phase is None else measurement_phase
+    offset = _check_real(resource_phase_offset, "resource_phase_offset")
     ks = bob.k_values()
-    shifted = bob.amplitudes * np.exp(1j * (phi + resource_phase_offset) * ks)
+    shifted = bob.amplitudes * np.exp(1j * (_check_real(phi, "measurement_phase") + offset) * ks)
     amps = np.zeros(bob.q + 1, dtype=complex)
     amps[bob.k0:] = shifted
     return SingleModeState(amps)
@@ -200,7 +199,7 @@ def reconstruct(bob: BobState, resource_phase_offset: float,
 
 def parity_phase_correction(state: SingleModeState, q: int) -> SingleModeState:
     """Apply e^{i (-1)^q (pi/2) k^2} at each Fock level k; exactly norm-preserving."""
-    factors = _parity_factors(np.arange(len(state.amplitudes)), q)
+    factors = _parity_factors(np.arange(len(state.amplitudes)), _check_count(q, "q", 0))
     return SingleModeState(state.amplitudes * factors)
 
 
@@ -250,22 +249,15 @@ def _mean_fidelity(outcomes) -> float:
     return total
 
 
-def _check_count(value, name: str, lo: int) -> int:
-    """value as an int (numpy unsigned ones would wrap in q - N), if it is an integer >= lo."""
-    if not _is_integer(value) or value < lo:
-        kind = "positive" if lo else "non-negative"
-        raise DomainError(f"{name} must be a {kind} integer, got {value!r}")
-    return int(value)
-
-
 def high_fidelity_region(alpha: float, N: int) -> tuple[int, int] | None:
     """Integer window [ceil(a^2+a), floor(N-a^2+a)] where the bound stays near 1.
 
     Returns None when the bounds cross (no high-fidelity outcomes exist).
     """
     _check_count(N, "N", 1)
-    if not math.isfinite(alpha) or alpha < 0:
-        raise DomainError(f"alpha must be finite and non-negative, got {alpha}")
+    alpha = _check_real(alpha, "alpha", 0)
+    if alpha * alpha > N:  # the bounds cross; a^2 may even overflow to inf
+        return None
     lo = math.ceil(alpha * alpha + alpha)
     hi = math.floor(N - alpha * alpha + alpha)
     if lo > hi:

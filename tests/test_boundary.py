@@ -1,0 +1,283 @@
+"""Property test of the library boundary: every numeric argument of fockport.__all__.
+
+Each public name that takes a number is called with one numeric argument
+replaced by a drawn value and every other argument valid.  The draws are
+ints, huge ints, floats with NaN and infinities, bools, None, strings and
+numpy scalars.  A call must end in a finite result or a DomainError; a sweep
+spec may also be refused by its ValueError("invalid sweep spec: ...").  A
+bool, None, a string or a non-finite float is always refused, and so is a
+non-integer where a count is needed.  Draws are derandomized so that every
+run sees the same cases.  Photon numbers near the cap run in a child process
+under an address-space limit.
+"""
+
+import dataclasses
+import json
+import math
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import fockport
+from fockport import (MAX_TWICE_J, BeamSplitterAngle, BetaGrid, BobState, CoherentTarget,
+                      DomainError, FilterOrder, GeneralPhaseSpec, MeasurementOutcome,
+                      QuasiEprResource, RelativePhaseSpec, SingleModeState, SpinJ,
+                      SpinProjection, SweepSpec, TwoModeIndex, WignerColumn, basis_state,
+                      beta_q, brute_force_rotation, coherent_coefficients, evaluate_outcome,
+                      f_coefficient, fidelity, fidelity_bound, figure_dataset,
+                      filtered_input, find_beta_q_numeric, general_phase_state,
+                      high_fidelity_region, ideal_resource, make_resource, make_resources,
+                      outcome_probability, parity_phase_correction, phase_distribution,
+                      phase_shift, post_measurement_state, reconstruct,
+                      relative_phase_state, resource_for_kind, resources_for_kind,
+                      rotate_about_x, rotate_about_x_grid, run_sweep, wigner_d_column,
+                      wigner_d_element)
+
+J4, M0 = SpinJ(4), SpinProjection(0)
+STATE = basis_state(J4, M0)
+TARGET = coherent_coefficients(1.0)
+RESOURCE = ideal_resource(6)
+OUTCOME = MeasurementOutcome(3, 1)
+BOB = post_measurement_state(TARGET, RESOURCE, OUTCOME)
+VACUUM = SingleModeState(np.array([1.0, 0.0]))
+GRID = BetaGrid(1.0, 1.1, 0.1)
+
+
+def central_element(twice_j):
+    """d^j_{mm}(0.7) at the central m, where the terms of the finite sum are largest."""
+    j = SpinJ(twice_j)
+    m = SpinProjection(j.twice_j % 2)
+    return wigner_d_element(j, m, m, 0.7)
+
+
+def sweep(**fields):
+    spec = dict(resource_kind="j0", N=10, beta_grid=GRID, alpha=1.0, q_list=[9])
+    spec.update(fields)
+    return run_sweep(SweepSpec(**spec))
+
+
+# public name -> argument -> (kind, call with that argument replaced).  "count"
+# arguments take integers only, "real" ones finite reals, "real?" also None.
+CALLS = {
+    "SpinJ": {"twice_j": ("count", SpinJ)},
+    "SpinProjection": {"twice_m": ("count", SpinProjection)},
+    "WignerColumn": {"beta": ("real", lambda x: WignerColumn(J4, M0, x, np.zeros(5)))},
+    "BeamSplitterAngle": {"beta": ("real", BeamSplitterAngle),
+                          "reflectivity": ("real", BeamSplitterAngle.from_reflectivity)},
+    "wigner_d_element": {"j": ("count", central_element),
+                         "beta": ("real", lambda x: wigner_d_element(J4, M0, M0, x))},
+    "wigner_d_column": {"beta": ("real", lambda x: wigner_d_column(J4, M0, x))},
+    "brute_force_rotation": {"beta": ("real", lambda x: brute_force_rotation(J4, x))},
+    "rotate_about_x": {"beta": ("real", lambda x: rotate_about_x(STATE, x))},
+    "rotate_about_x_grid": {"betas": ("real", lambda x: rotate_about_x_grid(STATE, [0.3, x]))},
+    "phase_shift": {"theta": ("real", lambda x: phase_shift(STATE, x))},
+    "TwoModeIndex": {"n_a": ("count", lambda x: TwoModeIndex(x, 2)),
+                     "n_b": ("count", lambda x: TwoModeIndex(2, x))},
+    "RelativePhaseSpec": {
+        "N": ("count", lambda x: relative_phase_state(RelativePhaseSpec(x, 0))),
+        "r": ("count", lambda x: relative_phase_state(RelativePhaseSpec(64, x))),
+        "phi0": ("real", lambda x: relative_phase_state(RelativePhaseSpec(4, 1, x)))},
+    "GeneralPhaseSpec": {
+        "N": ("count", lambda x: general_phase_state(GeneralPhaseSpec(x, (0.0,) * 5))),
+        "thetas": ("real", lambda x: general_phase_state(GeneralPhaseSpec(2, (0.1, x, 0.2))))},
+    "CoherentTarget": {"alpha": ("real", lambda x: CoherentTarget(x, 0, [1.0])),
+                       "k_max": ("count", lambda x: CoherentTarget(1.0, x, [1.0])),
+                       "coefficient": ("count", TARGET.coefficient)},
+    "coherent_coefficients": {"alpha": ("real", coherent_coefficients),
+                              "tail_tol": ("real", lambda x: coherent_coefficients(1.0, x))},
+    "FilterOrder": {"twice_level": ("count", FilterOrder)},
+    "QuasiEprResource": {"N": ("count", lambda x: QuasiEprResource(x, np.array([1.0, 0.0])))},
+    "f_coefficient": {"beta": ("real", lambda x: f_coefficient(J4, M0, x)),
+                      "phi0": ("real", lambda x: f_coefficient(J4, M0, 1.0, x))},
+    "filtered_input": {"N": ("count", lambda x: filtered_input(x, FilterOrder(0)))},
+    "beta_q": {"N": ("count", beta_q)},
+    "make_resource": {"beta": ("real", lambda x: make_resource(STATE, x))},
+    "make_resources": {"betas": ("real", lambda x: make_resources(STATE, [x]))},
+    "ideal_resource": {"N": ("count", ideal_resource)},
+    "phase_distribution": {"zero_tol": ("real", lambda x: phase_distribution(RESOURCE, x))},
+    "MeasurementOutcome": {
+        "q": ("count", lambda x: post_measurement_state(TARGET, RESOURCE,
+                                                        MeasurementOutcome(x, 0))),
+        "s_index": ("count", lambda x: MeasurementOutcome(64, x).phase),
+        "phi0": ("real", lambda x: post_measurement_state(TARGET, RESOURCE,
+                                                          MeasurementOutcome(3, 0, x)))},
+    "BobState": {"N": ("count", lambda x: BobState(x, 0, [1.0])),
+                 "q": ("count", lambda x: BobState(0, x, [1.0]))},
+    "post_measurement_state": {"measurement_phase": (
+        "real?", lambda x: post_measurement_state(TARGET, RESOURCE, OUTCOME, x))},
+    "reconstruct": {"resource_phase_offset": ("real", lambda x: reconstruct(BOB, x, OUTCOME)),
+                    "measurement_phase": ("real?", lambda x: reconstruct(BOB, 0.0, OUTCOME, x))},
+    "parity_phase_correction": {"q": ("count", lambda x: parity_phase_correction(VACUUM, x))},
+    "fidelity": {"q": ("count", lambda x: fidelity(TARGET, RESOURCE, x))},
+    "fidelity_bound": {"q": ("count", lambda x: fidelity_bound(TARGET, x, 6)),
+                       "N": ("count", lambda x: fidelity_bound(TARGET, 3, x))},
+    "outcome_probability": {"q": ("count", lambda x: outcome_probability(TARGET, RESOURCE, x))},
+    "high_fidelity_region": {"alpha": ("real", lambda x: high_fidelity_region(x, 20)),
+                             "N": ("count", lambda x: high_fidelity_region(1.0, x))},
+    "evaluate_outcome": {"q": ("count", lambda x: evaluate_outcome(TARGET, RESOURCE, x))},
+    "BetaGrid": {"start": ("real", lambda x: BetaGrid(x, 1.0, 0.1).values()),
+                 "stop": ("real", lambda x: BetaGrid(0.5, x, 0.1).values()),
+                 "step": ("real", lambda x: BetaGrid(0.5, 1.0, x).values())},
+    "SweepSpec": {"N": ("count", lambda x: sweep(resource_kind="ideal", N=x)),
+                  "alpha": ("real", lambda x: sweep(alpha=x)),
+                  "q_list": ("count", lambda x: sweep(resource_kind="ideal", q_list=[x]))},
+    "find_beta_q_numeric": {"N": ("count", lambda x: find_beta_q_numeric(x, step=0.2)),
+                            "step": ("real", lambda x: find_beta_q_numeric(4, step=x))},
+    "resource_for_kind": {"N": ("count", lambda x: resource_for_kind("j0", x, 1.0)),
+                          "beta": ("real", lambda x: resource_for_kind("j0", 4, x))},
+    "resources_for_kind": {
+        "N": ("count", lambda x: resources_for_kind("relative-phase-input", x, [1.0])),
+        "betas": ("real", lambda x: resources_for_kind("2pt", 5, [x]))},
+    "figure_dataset": {"figure_id": ("count", figure_dataset)},
+}
+
+# public names with no numeric argument of their own: constants, exception
+# types, result records, and functions of states, resources and flags only
+NO_NUMBERS = {
+    "__version__", "DomainError", "ImpossibleOutcomeError", "SizeCapError", "MAX_TWICE_J",
+    "MAX_GRID_POINTS", "RESOURCE_KINDS", "SpinState", "SingleModeState", "basis_state",
+    "two_mode_to_spin", "spin_to_two_mode", "relative_phase_state", "general_phase_state",
+    "EprQualityReport", "TeleportOutcome", "SweepResult", "resource_from_state", "quality",
+    "average_fidelity", "evaluate_all", "run_sweep",
+}
+
+assert set(fockport.__all__) == set(CALLS) | NO_NUMBERS and not set(CALLS) & NO_NUMBERS, \
+    "every public name is in CALLS or in NO_NUMBERS"
+SLOTS = sorted((name, arg) for name, args in CALLS.items() for arg in args)
+
+NUMBERS = st.one_of(
+    st.integers(-3, 64),
+    st.sampled_from([MAX_TWICE_J + 1, 10 ** 12, -10 ** 12, 10 ** 400, -10 ** 400]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.sampled_from([np.int64(3), np.uint8(3), np.uint8(255), np.int32(-1), np.uint64(2 ** 64 - 1),
+                     np.float64(2.5), np.float64(math.nan), np.float32(math.inf),
+                     np.bool_(True), np.bool_(False)]),
+)
+
+
+def finite(value) -> bool:
+    """True if every number inside value (arrays, records, rows) is finite."""
+    if isinstance(value, (float, complex, np.number)) and not isinstance(value, np.integer):
+        return bool(np.isfinite(value))
+    if isinstance(value, np.ndarray):
+        return bool(np.isfinite(value).all())
+    if dataclasses.is_dataclass(value):
+        return all(finite(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return all(map(finite, value))
+    return True
+
+
+def must_refuse(kind: str, value) -> bool:
+    """Whether the boundary rule refuses value outright for an argument of this kind."""
+    if value is None:
+        return kind != "real?"
+    if isinstance(value, (bool, np.bool_, str)):
+        return True
+    if isinstance(value, (float, np.floating)):
+        return kind == "count" or not math.isfinite(value)
+    return False
+
+
+def check(name: str, arg: str, value) -> None:
+    kind, call = CALLS[name][arg]
+    label = f"{name}({arg}={value!r})"
+    try:
+        result = call(value)
+    except DomainError:
+        return
+    except ValueError as exc:
+        if name == "SweepSpec" and str(exc).startswith("invalid sweep spec: "):
+            return
+        raise AssertionError(f"{label} raised {exc!r}") from exc
+    assert not must_refuse(kind, value), f"{label} was accepted: {result!r:.200}"
+    assert finite(result), f"{label} returned a non-finite result: {result!r:.200}"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(slot=st.sampled_from(SLOTS), value=NUMBERS)
+# every case below once ended in something other than a refusal or a finite result
+@example(slot=("SpinJ", "twice_j"), value=True)  # j = 1/2
+@example(slot=("beta_q", "N"), value=True)  # 0.0
+@example(slot=("beta_q", "N"), value=2.5)
+@example(slot=("QuasiEprResource", "N"), value=True)
+@example(slot=("MeasurementOutcome", "q"), value=np.uint8(3))  # q - N wrapped
+@example(slot=("MeasurementOutcome", "q"), value=2.5)
+@example(slot=("MeasurementOutcome", "q"), value=True)
+@example(slot=("MeasurementOutcome", "s_index"), value=1.5)
+@example(slot=("MeasurementOutcome", "phi0"), value=math.inf)
+@example(slot=("phase_shift", "theta"), value=math.inf)
+@example(slot=("coherent_coefficients", "alpha"), value="1")
+@example(slot=("RelativePhaseSpec", "phi0"), value=math.inf)
+@example(slot=("BetaGrid", "step"), value=math.inf)
+@example(slot=("CoherentTarget", "coefficient"), value=2.5)
+@example(slot=("parity_phase_correction", "q"), value=2.5)
+@example(slot=("FilterOrder", "twice_level"), value=True)
+@example(slot=("figure_dataset", "figure_id"), value=True)  # figure 1
+@example(slot=("wigner_d_element", "j"), value=522)  # OverflowError in the sum
+@example(slot=("wigner_d_element", "j"), value=2001)
+@example(slot=("SweepSpec", "alpha"), value="1")
+@example(slot=("SweepSpec", "alpha"), value=True)
+@example(slot=("SweepSpec", "N"), value=np.uint8(255))  # N + k_max wrapped
+@example(slot=("high_fidelity_region", "alpha"), value=1e200)  # OverflowError from ceil(inf)
+@example(slot=("BeamSplitterAngle", "beta"), value=np.float32(1.5))
+@example(slot=("BeamSplitterAngle", "beta"), value=np.float32(math.inf))
+def test_numeric_arguments_are_refused_or_give_finite_results(slot, value):
+    check(*slot, value)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: RelativePhaseSpec(4, 0, phi0=math.inf), "phi0"),  # once a RuntimeWarning
+    (lambda: BetaGrid(0.1, 1, math.inf).values(), "step"),  # once a RuntimeWarning
+    (lambda: TARGET.coefficient(2.5), "k"),  # once an IndexError
+    (lambda: parity_phase_correction(VACUUM, 2.5), "q"),
+    (lambda: FilterOrder(True), "twice_level"),
+    (lambda: figure_dataset(True), "figure_id"),  # once figure 1
+    (lambda: SpinJ(True), "twice_j"),  # once j = 1/2
+    (lambda: beta_q(2.5), "N"),
+    (lambda: phase_shift(STATE, -math.inf), "theta"),
+    (lambda: coherent_coefficients("1"), "alpha"),  # once a TypeError
+], ids=["phi0", "step", "k", "q", "twice_level", "figure_id", "twice_j", "N", "theta", "alpha"])
+def test_refusals_name_the_argument(call, name):
+    with pytest.raises(DomainError, match=f"^{name} must be "):
+        call()
+
+
+# Photon numbers at and just past the cap for every argument that sizes an
+# allocation.  They run in a child process whose address space is capped, so
+# that a missed check fails with numpy's memory error instead of allocating
+# gigabytes here.
+ALLOCATING = [("SpinJ", "twice_j"), ("ideal_resource", "N"), ("RelativePhaseSpec", "N"),
+              ("filtered_input", "N"), ("TwoModeIndex", "n_a"), ("wigner_d_element", "j")]
+
+_CHILD = """
+import json, resource, sys, warnings
+warnings.simplefilter("error", RuntimeWarning)
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+sys.path.insert(0, sys.argv[2])
+from test_boundary import check
+for name, arg, value in json.loads(sys.argv[1]):
+    check(name, arg, value)
+print("ok")
+"""
+
+
+def test_photon_numbers_near_the_cap():
+    cases = [(name, arg, n) for name, arg in ALLOCATING
+             for n in (MAX_TWICE_J, MAX_TWICE_J + 1, 2 * MAX_TWICE_J)]
+    src = os.path.dirname(os.path.dirname(fockport.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(cases),
+                           os.path.dirname(__file__)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.stdout.split() == ["ok"], proc.stderr[-2000:]

@@ -216,7 +216,7 @@ class TestTeleport:
                                           "--q", "0"])
         assert code == 3
         assert out == ""
-        assert "N must be >= 0" in err
+        assert "N must be a non-negative integer" in err
 
     def test_ideal_resource_needs_no_beta(self, capsys):
         code, out, _ = run_cli(

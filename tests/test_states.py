@@ -62,7 +62,7 @@ class TestRelativePhase:
             RelativePhaseSpec(5, 6)
         with pytest.raises(DomainError):
             RelativePhaseSpec(5, -1)
-        with pytest.raises(DomainError, match="N must be non-negative"):
+        with pytest.raises(DomainError, match="N must be a non-negative integer"):
             RelativePhaseSpec(-1, 0)
 
     def test_phi_spacing(self):
@@ -107,7 +107,7 @@ class TestRelativePhase:
     def test_general_phase_length_check(self):
         with pytest.raises(DomainError):
             GeneralPhaseSpec(4, (0.0, 0.0))
-        with pytest.raises(DomainError, match="N must be non-negative"):
+        with pytest.raises(DomainError, match="N must be a non-negative integer"):
             GeneralPhaseSpec(-1, ())
 
 

@@ -1,5 +1,6 @@
 """Rotation kernel tests: element sums, column recurrence, dense oracles."""
 
+import itertools
 import math
 import re
 
@@ -310,6 +311,26 @@ class TestElement:
                 )
                 sign = -1.0 if ((tmo - tmi) // 2) % 2 else 1.0
                 assert a == pytest.approx(sign * b, abs=1e-13)
+
+    def test_element_sum_is_capped_where_it_stays_sharp(self):
+        # every (m', m) pair up to the cap matches the column kernel to 1e-9; past it the
+        # sum once lost digits (4e-4 at twice_j = 100) and overflowed a float (from 522)
+        for twice_j in (59, 60):
+            tms = range(-twice_j, twice_j + 1, 2)
+            for beta, tm in itertools.product((0.7, 2.6), tms):
+                col = wigner_d_column(SpinJ(twice_j), SpinProjection(tm), beta).values
+                got = [wigner_d_element(SpinJ(twice_j), SpinProjection(tmo), SpinProjection(tm),
+                                        beta) for tmo in tms]
+                np.testing.assert_allclose(got, col, rtol=0, atol=1e-9)
+        for twice_j in (61, 62, 522, 2001):
+            m = SpinProjection(twice_j % 2)
+            with pytest.raises(SizeCapError, match="capped at twice_j = 60"):
+                wigner_d_element(SpinJ(twice_j), m, m, 0.7)
+
+    def test_counts_are_stored_as_ints(self):
+        # an unsigned twice_j once wrapped in dim = twice_j + 1
+        assert SpinJ(np.uint8(255)).dim == 256
+        assert type(SpinProjection(np.int8(-3)).twice_m) is int
 
     def test_rejects_mismatched_projection(self):
         with pytest.raises(DomainError):

@@ -101,6 +101,13 @@ class TestSweepSpec:
             (dict(parity_correction=1), "parity_correction"),
             (dict(parity_correction=None), "parity_correction"),
             (dict(resource_kind="2pt", N=True), "N: must be a positive integer"),
+            (dict(q_list=(q for q in [9, 10])), "q_list"),  # once used up: a sweep of 0 rows
+            (dict(q_list=np.array([9, 10])), "q_list"),  # once numpy's "truth value" error
+            (dict(alpha="1"), "alpha"),  # once a TypeError from <
+            (dict(alpha=True), "alpha"),
+            (dict(alpha=math.nan), "alpha"),
+            (dict(beta_grid=BetaGrid("1", 2.0, 0.1)), "beta_grid"),
+            (dict(beta_grid=BetaGrid(1.0, 2.0, True)), "beta_grid"),
         ],
     )
     def test_invalid_specs_name_the_field(self, overrides, needle):
@@ -112,6 +119,8 @@ class TestSweepSpec:
         self.good_spec(N=np.int64(10), q_list=(np.int64(9), 10, np.uint8(3)),
                        parity_correction=np.bool_(False)).validate()
         self.good_spec(q_list=range(3, 12)).validate()
+        self.good_spec(q_list=(9, 10)).validate()
+        self.good_spec(q_list="all").validate()
 
     def test_errors_aggregate(self):
         with pytest.raises(ValueError) as err:

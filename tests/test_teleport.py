@@ -73,6 +73,24 @@ class TestOutcomeTypes:
         with pytest.raises(DomainError):
             MeasurementOutcome(3, 4)
 
+    def test_outcome_stores_q_as_an_int(self, unit_target, small_resource):
+        # an unsigned q once wrapped in q - N inside post_measurement_state
+        outcome = MeasurementOutcome(np.uint8(3), 0)
+        assert type(outcome.q) is int
+        got = post_measurement_state(unit_target, small_resource, outcome).amplitudes
+        want = post_measurement_state(unit_target, small_resource,
+                                      MeasurementOutcome(3, 0)).amplitudes
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("q, s_index, phi0, name", [
+        (2.5, 0, 0.0, "q"), (True, 0, 0.0, "q"), (3, 1.5, 0.0, "s_index"),
+        (3, True, 0.0, "s_index"), (3, 0, math.inf, "phi0"), (3, 0, math.nan, "phi0"),
+        (3, 0, "0", "phi0"),
+    ])
+    def test_outcome_refuses_non_numbers_by_name(self, q, s_index, phi0, name):
+        with pytest.raises(DomainError, match=f"^{name} must be"):
+            MeasurementOutcome(q, s_index, phi0)
+
     def test_bob_state_indexing(self):
         amps = np.zeros(4, dtype=complex)
         amps[0] = 1.0
