@@ -28,7 +28,7 @@ from .states import coherent_coefficients
 from .su2 import SpinJ, SpinProjection, SpinState, basis_state, rotate_about_x
 from .sweep import (RESOURCE_KINDS, BetaGrid, SweepResult, SweepSpec,
                     figure_dataset, resource_for_kind, run_sweep, stamp)
-from .teleport import _mean_fidelity, evaluate_all, evaluate_outcome
+from .teleport import _evaluate, _mean_fidelity
 
 
 # %g text of a non-finite float -> what json writes for it
@@ -192,7 +192,7 @@ def cmd_rotate(args) -> int:
         state = basis_state(j, SpinProjection(args.m))
     rotated = rotate_about_x(state, math.radians(_angle_deg(args.beta_deg, "--beta-deg")))
     amps = rotated.amplitudes
-    m_primes = (2 * np.arange(args.n + 1) - args.n) / 2.0
+    m_primes = rotated.twice_m_values() / 2.0
     # deterministic branch (-pi, pi]; only an exactly zero amplitude reports phase 0.0
     phases = phase_distribution(resource_from_state(rotated), zero_tol=math.ulp(0.0))
     rows = list(zip(m_primes.tolist(), amps.real.tolist(), amps.imag.tolist(),
@@ -202,19 +202,14 @@ def cmd_rotate(args) -> int:
 
 
 def cmd_teleport(args) -> int:
-    beta_deg = args.beta_deg
-    if beta_deg is None:
-        beta_deg = 90.0  # ignored by the ideal resource
+    beta_deg = 90.0 if args.beta_deg is None else args.beta_deg  # 90 for ideal, which ignores it
     _angle_deg(beta_deg, "--beta-deg")
     resource = resource_for_kind(args.resource, args.n, math.radians(beta_deg))
     target = coherent_coefficients(args.alpha)
+    qs = range(resource.N + target.k_max + 1) if args.all_q else (args.q,)
+    rows = list(_evaluate(target, resource.s, qs, args.parity_correction))
     if args.all_q:
-        outcomes = evaluate_all(target, resource, args.parity_correction)
-    else:
-        outcomes = [evaluate_outcome(target, resource, args.q, args.parity_correction)]
-    rows = [(res.q, res.fidelity, res.bound, res.probability) for res in outcomes]
-    if args.all_q:
-        rows.append(("average", _mean_fidelity(outcomes), None, None))
+        rows.append(("average", _mean_fidelity(rows), None, None))
     meta = {"kind": "teleport", "resource": args.resource, "n": args.n,
             "beta_deg": beta_deg, "alpha": args.alpha,
             "parity_correction": bool(args.parity_correction), "version": __version__}

@@ -31,13 +31,15 @@ def _check_count(value, name: str, lo: int | None) -> int:
     return int(value)
 
 
-def _check_real(value, name: str, lo: float | None = None) -> float:
-    """value as a float, if it is a real number (bool is not one) finite as a float and >= lo."""
+def _check_real(value, name: str, lo: float | None = None, times: float = 1.0) -> float:
+    """value as a float, if it is a real number (bool is not one) finite as a float and >= lo;
+    a phase is also finite times `times`, the largest index it multiplies."""
     try:  # float, the common case, goes before the slower ABC test
         x = float(value) if isinstance(value, (float, Real)) and type(value) is not bool else nan
     except OverflowError:  # an integer beyond the float range
         x = nan
-    if not isfinite(x) or lo is not None and x < lo:
+    if not isfinite(x * times) or lo is not None and x < lo:
         bound = "" if lo is None else " and non-negative" if lo == 0 else f" and >= {lo}"
-        raise DomainError(f"{name} must be finite{bound}, got {value!r}")
+        scale = "" if times == 1.0 else f" when multiplied by {times}"
+        raise DomainError(f"{name} must be finite{scale}{bound}, got {value!r}")
     return x

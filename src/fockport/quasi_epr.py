@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, _check_count, _check_real
-from .su2 import (SpinJ, SpinProjection, SpinState, _check_unit_norm, basis_state,
-                  rotate_about_x_grid, wigner_d_column)
+from .su2 import (SpinJ, SpinProjection, SpinState, _check_unit_norm, _rotated, basis_state,
+                  wigner_d_column)
 
 _ZERO_TOL = 1e-12
 
@@ -81,7 +81,7 @@ def f_coefficient(j: SpinJ, m_out: SpinProjection, beta: float = math.pi / 2,
     col = wigner_d_column(j, m_out, beta).values  # col[i] = d^j_{m_i, m'}
     tms = np.arange(tj + 1) * 2 - tj
     signs = (-1.0) ** (((tmp - tms) // 2) % 2)
-    chi = _check_real(phi0, "phi0") + math.pi / 2.0
+    chi = _check_real(phi0, "phi0", times=tj / 2.0) + math.pi / 2.0
     phases = np.exp(1j * chi * (tms / 2.0))
     return complex(np.sum(phases * signs * col))
 
@@ -125,8 +125,7 @@ def beta_q(N: int) -> float:
 
 def make_resources(input_state: SpinState, betas) -> list:
     """make_resource at every angle of a grid, all through one kernel pass."""
-    return [QuasiEprResource(input_state.j.twice_j, rotated.amplitudes.copy())
-            for rotated in rotate_about_x_grid(input_state, betas)]
+    return [QuasiEprResource(input_state.j.twice_j, row) for row in _rotated(input_state, betas)]
 
 
 def make_resource(input_state: SpinState, beta: float) -> QuasiEprResource:
@@ -147,7 +146,7 @@ def ideal_resource(N: int) -> QuasiEprResource:
 
 def resource_from_state(state: SpinState) -> QuasiEprResource:
     """Treat an arbitrary fixed-N two-mode state directly as a resource."""
-    return QuasiEprResource(state.j.twice_j, state.amplitudes.copy())
+    return QuasiEprResource(state.j.twice_j, state.amplitudes)
 
 
 def quality(resource: QuasiEprResource) -> EprQualityReport:

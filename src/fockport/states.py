@@ -56,7 +56,7 @@ class RelativePhaseSpec:
         object.__setattr__(self, "N", _check_count(self.N, "N", 0))
         if not 0 <= _check_count(self.r, "r", None) <= self.N:
             raise DomainError(f"r must lie in [0, {self.N}], got {self.r}")
-        _check_real(self.phi0, "phi0")
+        _check_real(self.phi0, "phi0", times=self.N)
 
     @property
     def phi(self) -> float:

@@ -83,16 +83,16 @@ class SpinProjection:
 
 
 def _check_unit_norm(amps: np.ndarray, what: str) -> None:
-    """Raise DomainError unless the complex vector amps has unit norm within _NORM_TOL.
+    """Raise DomainError unless each row of amps, one complex vector or a stack, has unit norm.
 
     The squares are summed by np.add.reduce, not np.linalg.norm: that calls
     BLAS, which runs threaded on long vectors and costs far more than a
     tolerance check needs.
     """
     parts = np.ascontiguousarray(amps).view(np.float64)
-    norm = math.sqrt(np.add.reduce(parts * parts, axis=None))
-    if not abs(norm - 1.0) <= _NORM_TOL:
-        raise DomainError(f"{what} norm {norm} deviates from 1 by more than {_NORM_TOL}")
+    for norm in np.sqrt(np.add.reduce(parts * parts, axis=-1)).reshape(-1).tolist():
+        if not abs(norm - 1.0) <= _NORM_TOL:
+            raise DomainError(f"{what} norm {norm} deviates from 1 by more than {_NORM_TOL}")
 
 
 def _check_projection(j: SpinJ, m: SpinProjection, name: str = "m"):
@@ -386,11 +386,6 @@ def _recurrence_columns(tj: int, tms: np.ndarray, betas) -> np.ndarray:
     return out
 
 
-def _check_angles(betas) -> list:
-    """Angles as floats; NaN and infinities are refused here, overflowing columns by the kernel."""
-    return [_check_real(beta, "beta") for beta in betas]
-
-
 def _columns(tj: int, tms, betas) -> np.ndarray:
     """d^j_{m',m}(beta) for every beta and m: array indexed [beta, m, m']."""
     tms = np.asarray(tms, dtype=np.int64)
@@ -427,7 +422,7 @@ def _column_blocks(tj: int, tms: np.ndarray, betas: list):
 def wigner_d_column(j: SpinJ, m_in: SpinProjection, beta: float) -> WignerColumn:
     """Full column d^j_{m',m_in}(beta) over m' = -j..j, stable at large j."""
     _check_projection(j, m_in, "m_in")
-    (beta,) = _check_angles([beta])
+    beta = _check_real(beta, "beta")
     return WignerColumn(j, m_in, beta, _columns(j.twice_j, [m_in.twice_m], [beta])[0, 0])
 
 
@@ -453,20 +448,26 @@ def brute_force_rotation(j: SpinJ, beta: float) -> np.ndarray:
     return (evecs * np.exp(1j * _check_real(beta, "beta") * evals)) @ evecs.T
 
 
-def rotate_about_x_grid(state: SpinState, betas) -> list:
-    """rotate_about_x at every angle of a grid, all columns through one kernel."""
-    betas = _check_angles(betas)
-    j = state.j
+def _rotated(state: SpinState, betas) -> np.ndarray:
+    """rotate_about_x_grid's amplitudes: one unit-norm row per angle, in one array."""
+    betas = [_check_real(beta, "beta") for beta in betas]  # the kernel refuses overflowing columns
     tms = state.twice_m_values()
     nonzero = np.flatnonzero(state.amplitudes != 0.0)
-    out = np.zeros((len(betas), j.dim), dtype=complex)
-    for b, ms, cols in _column_blocks(j.twice_j, tms[nonzero], betas):
+    out = np.zeros((len(betas), state.j.dim), dtype=complex)
+    for b, ms, cols in _column_blocks(state.j.twice_j, tms[nonzero], betas):
         for col, i in zip(cols.transpose(1, 0, 2), nonzero[ms]):
             # i^{m-m'} = e^{i pi (m-m')/2}; m-m' is an integer so this is exact
             k = (tms[i] - tms) // 2
             out[b] += state.amplitudes[i] * (1j ** np.mod(k, 4)) * col
     out[np.abs(out) < _FLUSH] = 0.0
-    return [SpinState(j, row / np.linalg.norm(row)) for row in out]
+    for row in out:
+        row /= np.linalg.norm(row)
+    return out
+
+
+def rotate_about_x_grid(state: SpinState, betas) -> list:
+    """rotate_about_x at every angle of a grid, all columns through one kernel."""
+    return [SpinState(state.j, row) for row in _rotated(state, betas)]
 
 
 def rotate_about_x(state: SpinState, beta: float) -> SpinState:
@@ -476,5 +477,6 @@ def rotate_about_x(state: SpinState, beta: float) -> SpinState:
 
 def phase_shift(state: SpinState, theta: float) -> SpinState:
     """Relative phase shift: amplitude at projection m gains e^{i theta m}."""
-    phases = np.exp(1j * _check_real(theta, "theta") * (state.twice_m_values() / 2.0))
+    theta = _check_real(theta, "theta", times=state.j.j)  # the largest |m| is j
+    phases = np.exp(1j * theta * (state.twice_m_values() / 2.0))
     return SpinState(state.j, state.amplitudes * phases)

@@ -17,11 +17,11 @@ import numpy as np
 from ._version import __version__
 from .errors import (DomainError, ImpossibleOutcomeError, SizeCapError, _check_count,
                      _check_real, _is_integer)
-from .quasi_epr import (FilterOrder, beta_q, filtered_input, ideal_resource,
-                        make_resources, phase_distribution, quality)
+from .quasi_epr import (FilterOrder, QuasiEprResource, beta_q, filtered_input, ideal_resource,
+                        phase_distribution, quality)
 from .states import (RelativePhaseSpec, coherent_coefficients,
                      relative_phase_state)
-from .su2 import LANE_BUDGET
+from .su2 import LANE_BUDGET, _check_unit_norm, _rotated
 from .teleport import _evaluate, high_fidelity_region
 
 _DEFAULT_STEP = math.radians(0.5)
@@ -122,16 +122,9 @@ class SweepResult:
 def resources_for_kind(kind: str, N: int, betas) -> list:
     """The resources behind a sweep kind at every angle of a grid.
 
-    The input state is built once and every angle is rotated in one kernel
-    pass.
+    The input state is built once and the angles are rotated a block at a time.
     """
-    if kind == "ideal":
-        return [ideal_resource(N) for _ in betas]
-    if kind == "relative-phase-input":
-        return make_resources(relative_phase_state(RelativePhaseSpec(N, 0)), betas)
-    if kind in _KIND_LEVEL:
-        return make_resources(filtered_input(N, FilterOrder(_KIND_LEVEL[kind])), betas)
-    raise DomainError(f"unknown resource kind {kind!r}")
+    return [QuasiEprResource(N, s) for _, rows in _grid_blocks(kind, N, list(betas)) for s in rows]
 
 
 def resource_for_kind(kind: str, N: int, beta: float):
@@ -140,10 +133,24 @@ def resource_for_kind(kind: str, N: int, beta: float):
 
 
 def _grid_blocks(kind: str, N: int, betas):
-    """(angles, resources_for_kind at them) a block of angles at a time to bound memory."""
-    block = max(1, LANE_BUDGET // (N + 1))
+    """(angles, resource amplitudes at them) a block of angles at a time, to bound memory.
+
+    The input state is built once; a block is one (angles, N+1) array of unit-norm rows.
+    """
+    if kind == "ideal":
+        flat = ideal_resource(N).s  # does not depend on beta
+    elif kind == "relative-phase-input":
+        state = relative_phase_state(RelativePhaseSpec(N, 0))
+    elif kind in _KIND_LEVEL:
+        state = filtered_input(N, FilterOrder(_KIND_LEVEL[kind]))
+    else:
+        raise DomainError(f"unknown resource kind {kind!r}")
+    block = max(1, LANE_BUDGET // (int(N) + 1))  # a numpy unsigned N would wrap in N + 1
     for lo in range(0, len(betas), block):
-        yield betas[lo:lo + block], resources_for_kind(kind, N, betas[lo:lo + block])
+        angles = betas[lo:lo + block]
+        rows = np.tile(flat, (len(angles), 1)) if kind == "ideal" else _rotated(state, angles)
+        _check_unit_norm(rows, "resource")
+        yield angles, rows
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -161,11 +168,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
           [int(q) for q in spec.q_list])
     betas = spec.beta_grid.values()
     rows = []
-    for angles, resources in _grid_blocks(spec.resource_kind, N, betas):
-        stack = np.stack([resource.s for resource in resources])
-        outcomes = list(_evaluate(target, stack, qs, spec.parity_correction))
-        for i, (beta, resource) in enumerate(zip(angles, resources)):
-            deg, rep = math.degrees(beta), quality(resource)
+    for angles, block in _grid_blocks(spec.resource_kind, N, betas):
+        outcomes = list(_evaluate(target, block, qs, spec.parity_correction))
+        for i, (beta, s) in enumerate(zip(angles, block)):
+            deg, rep = math.degrees(beta), quality(QuasiEprResource(N, s))
             rows.extend((deg, q, f[i], bound, p[i], rep.min_modulus, rep.zero_count,
                          rep.flatness, rep.entropy) for q, f, bound, p in outcomes)
     columns = ("beta_deg", "q", "fidelity", "bound", "probability",
@@ -192,14 +198,10 @@ def find_beta_q_numeric(N: int, resource_kind: str = "j0",
         raise DomainError("the ideal resource does not depend on beta; it has no best angle")
     if objective not in ("min_modulus", "entropy", "min_fidelity_target"):
         raise DomainError(f"unknown objective {objective!r}")
-    if not _check_real(step, "step") > 0.0:
-        raise DomainError(f"step must be > 0, got {step}")
-    points = (math.pi / 2) / step + 1e-9
-    if not points < MAX_GRID_POINTS:
-        raise SizeCapError(f"beta grid exceeds {MAX_GRID_POINTS} points")
-    if points < 1.0:
-        raise DomainError(f"step = {step} leaves no angle in (0, pi/2]")
-    betas = step * np.arange(1, math.floor(points) + 1)
+    betas = BetaGrid(0.0, math.pi / 2, step).values()[1:]
+    if len(betas) == 0:
+        raise DomainError(f"step = {step} leaves no angle in (0, pi/2]" if step > 0.0
+                          else f"step must be > 0, got {step}")
     if objective == "min_fidelity_target":
         target = coherent_coefficients(1.0)
         region = high_fidelity_region(1.0, N)
@@ -208,12 +210,11 @@ def find_beta_q_numeric(N: int, resource_kind: str = "j0",
         q_lo, q_hi = region
 
     scores = []
-    for _, resources in _grid_blocks(resource_kind, N, betas):
+    for _, block in _grid_blocks(resource_kind, N, betas):
         if objective == "min_fidelity_target":
-            stack = np.stack([resource.s for resource in resources])
-            scores += _worst_fidelities(target, stack, range(q_lo, q_hi + 1))
+            scores += _worst_fidelities(target, block, range(q_lo, q_hi + 1))
         else:
-            scores += [getattr(quality(resource), objective) for resource in resources]
+            scores += [getattr(quality(QuasiEprResource(N, s)), objective) for s in block]
     return float(betas[int(np.argmax(scores))])
 
 
@@ -229,11 +230,11 @@ def _worst_fidelities(target, s, qs) -> list:
 
 def _modulus_rows(kind: str, N: int, betas, with_phase: bool = False):
     rows = []
-    for angles, resources in _grid_blocks(kind, N, betas):
-        for beta, resource in zip(angles, resources):
-            cells = [np.abs(resource.s).tolist()]
+    for angles, block in _grid_blocks(kind, N, betas):
+        for beta, s in zip(angles, block):
+            cells = [np.abs(s).tolist()]
             if with_phase:
-                cells.append(phase_distribution(resource).tolist())
+                cells.append(phase_distribution(QuasiEprResource(N, s)).tolist())
             rows.extend(zip(itertools.repeat(math.degrees(beta)), range(N + 1), *cells))
     return rows
 

@@ -35,7 +35,7 @@ class MeasurementOutcome:
         object.__setattr__(self, "q", _check_count(self.q, "q", 0))
         if not 0 <= _check_count(self.s_index, "s_index", None) <= self.q:
             raise DomainError(f"s_index must lie in [0, {self.q}], got {self.s_index}")
-        _check_real(self.phi0, "phi0")
+        _check_real(self.phi0, "phi0", times=self.q)
 
     @property
     def phase(self) -> float:
@@ -174,7 +174,7 @@ def post_measurement_state(target: CoherentTarget, resource: QuasiEprResource,
     ks = np.arange(max(0, q - resource.N), q + 1)
     ck = np.concatenate((target.coeffs, np.zeros(q + 1)))[ks]
     phi = outcome.phase if measurement_phase is None else measurement_phase
-    phi = _check_real(phi, "measurement_phase")
+    phi = _check_real(phi, "measurement_phase", times=q)
     amps = np.exp(-1j * phi * ks) * ck * resource.s[q - ks] / math.sqrt(weight)
     return BobState(resource.N, q, amps)
 
@@ -190,10 +190,10 @@ def reconstruct(bob: BobState, resource_phase_offset: float,
     """
     phi = outcome.phase if measurement_phase is None else measurement_phase
     offset = _check_real(resource_phase_offset, "resource_phase_offset")
-    ks = bob.k_values()
-    shifted = bob.amplitudes * np.exp(1j * (_check_real(phi, "measurement_phase") + offset) * ks)
+    phase = _check_real(_check_real(phi, "measurement_phase") + offset,
+                        "measurement_phase + resource_phase_offset", times=bob.q)
     amps = np.zeros(bob.q + 1, dtype=complex)
-    amps[bob.k0:] = shifted
+    amps[bob.k0:] = bob.amplitudes * np.exp(1j * phase * bob.k_values())
     return SingleModeState(amps)
 
 
@@ -237,15 +237,16 @@ def fidelity_bound(target: CoherentTarget, q: int, N: int) -> float:
 def average_fidelity(target: CoherentTarget, resource: QuasiEprResource,
                      apply_parity_correction: bool = False) -> float:
     """P-weighted mean of F(q) over all reachable outcomes q = 0..N+k_max."""
-    return _mean_fidelity(evaluate_all(target, resource, apply_parity_correction))
+    qs = range(resource.N + target.k_max + 1)
+    return _mean_fidelity(_evaluate(target, resource.s, qs, apply_parity_correction))
 
 
-def _mean_fidelity(outcomes) -> float:
-    """Sum of P(q) F(q) over the reachable rows, accumulated in row order."""
+def _mean_fidelity(rows) -> float:
+    """Sum of P(q) F(q) over the reachable (q, F, bound, P) rows, accumulated in row order."""
     total = 0.0
-    for row in outcomes:
-        if row.fidelity is not None:
-            total += row.probability * row.fidelity
+    for _, f, _, p in rows:
+        if f is not None:
+            total += p * f
     return total
 
 

@@ -247,10 +247,31 @@ def test_numeric_arguments_are_refused_or_give_finite_results(slot, value):
     (lambda: beta_q(2.5), "N"),
     (lambda: phase_shift(STATE, -math.inf), "theta"),
     (lambda: coherent_coefficients("1"), "alpha"),  # once a TypeError
-], ids=["phi0", "step", "k", "q", "twice_level", "figure_id", "twice_j", "N", "theta", "alpha"])
+    # a finite phase whose product with the largest index overflows: once numpy's RuntimeWarning
+    (lambda: phase_shift(STATE, 1e308), "theta"),  # |m| <= j = 2
+    (lambda: relative_phase_state(RelativePhaseSpec(4, 1, 1e308)), "phi0"),
+    (lambda: f_coefficient(J4, M0, phi0=1e308), "phi0"),
+    (lambda: post_measurement_state(TARGET, RESOURCE, MeasurementOutcome(3, 0, 1e308)), "phi0"),
+    (lambda: post_measurement_state(TARGET, RESOURCE, OUTCOME, -1e308), "measurement_phase"),
+    (lambda: reconstruct(BOB, 1e308, OUTCOME), r"measurement_phase \+ resource_phase_offset"),
+], ids=["phi0", "step", "k", "q", "twice_level", "figure_id", "twice_j", "N", "theta", "alpha",
+        "theta-overflow", "phi0-relative-phase-overflow", "phi0-f-overflow",
+        "phi0-outcome-overflow", "measurement_phase-overflow", "offset-overflow"])
 def test_refusals_name_the_argument(call, name):
     with pytest.raises(DomainError, match=f"^{name} must be "):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: phase_shift(STATE, 8.9e307).amplitudes,
+    lambda: relative_phase_state(RelativePhaseSpec(4, 1, -4.4e307)).amplitudes,
+    lambda: f_coefficient(J4, M0, phi0=8.9e307),
+    lambda: post_measurement_state(TARGET, RESOURCE, MeasurementOutcome(3, 0, 5.9e307)).amplitudes,
+    lambda: reconstruct(BOB, 5.9e307, OUTCOME).amplitudes,
+], ids=["theta", "phi0-relative-phase", "phi0-f", "phi0-outcome", "offset"])
+def test_phases_whose_products_stay_finite_are_accepted(call):
+    # phase x largest index is just below the float range: refusing it would be too strict
+    assert np.isfinite(call()).all()
 
 
 # Photon numbers at and just past the cap for every argument that sizes an

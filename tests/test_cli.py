@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import fockport
-from fockport import RESOURCE_KINDS, SpinJ, SpinProjection, wigner_d_column
+from fockport import (RESOURCE_KINDS, SpinJ, SpinProjection, average_fidelity,
+                      coherent_coefficients, evaluate_all, resource_for_kind, wigner_d_column)
 from fockport.cli import main
 
 SPEC_TEXT = """\
@@ -310,6 +311,32 @@ class TestTeleport:
             ["teleport", "--resource", "ideal", "--n", "4", "--q", "1", "--all-q"],
         )
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("parity", [False, True])
+    @pytest.mark.parametrize("kind, n, beta_deg", [
+        ("j0", 20, "85.5"), ("2pt", 21, "90"), ("3pt", 20, "80"), ("4pt", 21, "70"),
+        ("ideal", 6, "90"), ("relative-phase-input", 12, "60")])
+    def test_all_q_rows_are_the_library_rows(self, capsys, kind, n, beta_deg, parity, fmt):
+        # 17 digits round-trip every float, so the printed rows must equal the library's exactly
+        argv = ["teleport", "--resource", kind, "--n", str(n), "--beta-deg", beta_deg,
+                "--alpha", "3", "--all-q", "--precision", "17", "--format", fmt]
+        code, out, _ = run_cli(capsys, argv + ["--parity-correction"] * parity)
+        assert code == 0
+        if fmt == "csv":
+            cells = parse_csv(out)[1]
+            rows = [(q if q == "average" else int(q),) + tuple(float(c) if c else None
+                                                               for c in rest)
+                    for q, *rest in cells]
+        else:
+            rows = [(r["q"], r["fidelity"], r["bound"], r["probability"])
+                    for r in json.loads(out)["rows"]]
+        target = coherent_coefficients(3.0)
+        resource = resource_for_kind(kind, n, math.radians(float(beta_deg)))
+        want = [(r.q, r.fidelity, r.bound, r.probability)
+                for r in evaluate_all(target, resource, parity)]
+        assert rows[:-1] == want
+        assert rows[-1] == ("average", average_fidelity(target, resource, parity), None, None)
 
 
 class TestFigure:

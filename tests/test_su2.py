@@ -221,6 +221,14 @@ class TestTypes:
             with pytest.raises(DomainError, match="state norm"):
                 SpinState(SpinJ(dim - 1), storage[::2])
 
+    def test_unit_norm_check_takes_each_row_of_a_stack(self):
+        rows = np.exp(0.3j * np.arange(28)).reshape(4, 7) / math.sqrt(7)
+        su2._check_unit_norm(rows, "resource")  # every row has unit norm, the stack norm 2
+        rows[2] = [0.0, 1.5j, 0.0, 0.0, 0.0, 0.0, 0.0]
+        rows[3] = math.nan
+        with pytest.raises(DomainError, match=r"^resource norm 1\.5 deviates"):
+            su2._check_unit_norm(rows, "resource")
+
     def test_state_requires_matching_length(self):
         with pytest.raises(DomainError):
             SpinState(SpinJ(2), np.array([1.0, 0.0]))

@@ -169,6 +169,25 @@ class TestResourceForKind:
             single = resource_for_kind(kind, N, beta)
             assert resource.s.tobytes() == single.s.tobytes()
 
+    @pytest.mark.parametrize("kind, N", [("j0", 20), ("2pt", 21), ("3pt", 20), ("4pt", 21),
+                                         ("relative-phase-input", 12), ("ideal", 6)])
+    def test_grid_of_several_blocks_matches_one_angle_at_a_time(self, monkeypatch, kind, N):
+        betas = [0.0, 0.3, 0.9, PI / 2, 2.0, 2.6, PI]
+        monkeypatch.setattr(sweep, "LANE_BUDGET", 3 * (N + 1))
+        assert [len(angles) for angles, _ in sweep._grid_blocks(kind, N, betas)] == [3, 3, 1]
+        grid = resources_for_kind(kind, N, betas)
+        assert [r.s.tobytes() for r in grid] == [
+            resource_for_kind(kind, N, beta).s.tobytes() for beta in betas]
+
+    @pytest.mark.parametrize("run", [lambda: figure_dataset(2),
+                                     lambda: find_beta_q_numeric(20, "j0", "min_fidelity_target")])
+    def test_rows_off_unit_norm_never_reach_a_table_or_score(self, monkeypatch, run):
+        # the modulus rows and the fidelity scores read the block without building a resource
+        rotated = sweep._rotated
+        monkeypatch.setattr(sweep, "_rotated", lambda state, angles: 2 * rotated(state, angles))
+        with pytest.raises(DomainError, match="^resource norm "):
+            run()
+
     def test_make_resources_matches_make_resource(self):
         state = filtered_input(21, FilterOrder(3))
         betas = [0.2, 1.0, 1.4]
@@ -393,6 +412,15 @@ class TestFindBetaQ:
                                              (2.0, DomainError), (4.0, DomainError)])
     def test_bad_step_is_refused(self, step, error):
         with pytest.raises(error):
+            find_beta_q_numeric(10, step=step)
+
+    @pytest.mark.parametrize("step, message", [
+        (0.0, "step must be > 0, got 0.0"), (-0.1, "step must be > 0, got -0.1"),
+        (math.nan, "step must be finite, got nan"),
+        (1e-9, "beta grid exceeds 18001 points"),
+        (2.0, r"step = 2.0 leaves no angle in \(0, pi/2\]")])
+    def test_bad_step_names_the_fault(self, step, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
             find_beta_q_numeric(10, step=step)
 
     @pytest.mark.parametrize("N, kind", [(10.5, "j0"), (math.nan, "j0"), ("10", "j0"), (0, "j0"),
