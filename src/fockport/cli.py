@@ -284,8 +284,8 @@ def _spec_from_mapping(raw: dict) -> SweepSpec:
     step = _spec_number(raw.get("beta_step_deg", 0.5), "beta_step_deg")
     grid = BetaGrid(math.radians(_angle_deg(start, "beta_start_deg")),
                     math.radians(_angle_deg(stop, "beta_stop_deg")), math.radians(step))
-    # a non-finite alpha is a domain error (exit 3) here as in teleport, not a spec error
-    alpha = _check_real(_spec_number(raw.get("alpha", 0.0), "alpha"), "alpha")
+    # a non-finite or negative alpha is a domain error (exit 3) as in teleport, not a spec error
+    alpha = _check_real(_spec_number(raw.get("alpha", 0.0), "alpha"), "alpha", 0)
     return SweepSpec(str(kind), _spec_number(raw.get("n"), "n", integer=True), grid, alpha,
                      q_list, corr)
 

@@ -36,9 +36,10 @@ def _check_real(value, name: str, lo: float | None = None, times: float = 1.0) -
     a phase is also finite times `times`, the largest index it multiplies."""
     try:  # float, the common case, goes before the slower ABC test
         x = float(value) if isinstance(value, (float, Real)) and type(value) is not bool else nan
-    except OverflowError:  # an integer beyond the float range
-        x = nan
-    if not isfinite(x * times) or lo is not None and x < lo:
+        scaled = x * times
+    except OverflowError:  # an integer beyond the float range, as the value or as the index
+        x = scaled = nan
+    if not isfinite(scaled) or lo is not None and x < lo:
         bound = "" if lo is None else " and non-negative" if lo == 0 else f" and >= {lo}"
         scale = "" if times == 1.0 else f" when multiplied by {times}"
         raise DomainError(f"{name} must be finite{scale}{bound}, got {value!r}")

@@ -120,7 +120,7 @@ def filtered_input(N: int, order: FilterOrder) -> SpinState:
 def beta_q(N: int) -> float:
     """Best beam-splitter angle (pi/2)(1 - 1/N) for the level-0 input."""
     N = _check_count(N, "N", 1)
-    return (math.pi / 2.0) * (1.0 - 1.0 / N)
+    return (math.pi / 2.0) * (1.0 - 1 / N)  # int / int: N may lie beyond the float range
 
 
 def make_resources(input_state: SpinState, betas) -> list:
@@ -149,22 +149,22 @@ def resource_from_state(state: SpinState) -> QuasiEprResource:
     return QuasiEprResource(state.j.twice_j, state.amplitudes)
 
 
+def _qualities(rows: np.ndarray) -> list:
+    """quality of each row of a (B, N+1) unit-norm stack, with the bits of a one-row call."""
+    mods = np.abs(rows)
+    p = mods ** 2
+    p /= p.sum(axis=-1, keepdims=True)
+    # each entropy sums its own row's nonzero p alone: a sum's tree depends on its length
+    entropies = [float(-(nz * np.log(nz)).sum()) for nz in (row[row > 0.0] for row in p)]
+    log_dim = math.log(rows.shape[-1])
+    zeros = np.count_nonzero(mods < _ZERO_TOL, axis=-1).tolist()
+    return [EprQualityReport(lo, z, hi - lo, h, h / log_dim if log_dim > 0.0 else 1.0)
+            for lo, hi, z, h in zip(mods.min(-1).tolist(), mods.max(-1).tolist(), zeros, entropies)]
+
+
 def quality(resource: QuasiEprResource) -> EprQualityReport:
     """Flatness report: min modulus, zero count, max-min spread, entropy."""
-    mods = np.abs(resource.s)
-    p = mods ** 2
-    p = p / p.sum()
-    nz = p > 0.0
-    entropy = float(-(p[nz] * np.log(p[nz])).sum())
-    log_dim = math.log(resource.N + 1)
-    normalized = entropy / log_dim if log_dim > 0.0 else 1.0
-    return EprQualityReport(
-        min_modulus=float(mods.min()),
-        zero_count=int(np.count_nonzero(mods < _ZERO_TOL)),
-        flatness=float(mods.max() - mods.min()),
-        entropy=entropy,
-        normalized_entropy=normalized,
-    )
+    return _qualities(resource.s[None])[0]
 
 
 def phase_distribution(resource: QuasiEprResource, zero_tol: float = _ZERO_TOL) -> np.ndarray:

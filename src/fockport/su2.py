@@ -445,7 +445,7 @@ def brute_force_rotation(j: SpinJ, beta: float) -> np.ndarray:
     jx[ii, ii + 1] = off
     jx[ii + 1, ii] = off
     evals, evecs = np.linalg.eigh(jx)
-    return (evecs * np.exp(1j * _check_real(beta, "beta") * evals)) @ evecs.T
+    return (evecs * np.exp(1j * _check_real(beta, "beta", times=jj) * evals)) @ evecs.T
 
 
 def _rotated(state: SpinState, betas) -> np.ndarray:

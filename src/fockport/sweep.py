@@ -17,8 +17,8 @@ import numpy as np
 from ._version import __version__
 from .errors import (DomainError, ImpossibleOutcomeError, SizeCapError, _check_count,
                      _check_real, _is_integer)
-from .quasi_epr import (FilterOrder, QuasiEprResource, beta_q, filtered_input, ideal_resource,
-                        phase_distribution, quality)
+from .quasi_epr import (FilterOrder, QuasiEprResource, _qualities, beta_q, filtered_input,
+                        ideal_resource, phase_distribution)
 from .states import (RelativePhaseSpec, coherent_coefficients,
                      relative_phase_state)
 from .su2 import LANE_BUDGET, _check_unit_norm, _rotated
@@ -138,7 +138,8 @@ def _grid_blocks(kind: str, N: int, betas):
     The input state is built once; a block is one (angles, N+1) array of unit-norm rows.
     """
     if kind == "ideal":
-        flat = ideal_resource(N).s  # does not depend on beta
+        flat = ideal_resource(N).s  # does not depend on beta, yet bad angles are refused
+        betas = [_check_real(beta, "beta") for beta in betas]
     elif kind == "relative-phase-input":
         state = relative_phase_state(RelativePhaseSpec(N, 0))
     elif kind in _KIND_LEVEL:
@@ -170,8 +171,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     rows = []
     for angles, block in _grid_blocks(spec.resource_kind, N, betas):
         outcomes = list(_evaluate(target, block, qs, spec.parity_correction))
-        for i, (beta, s) in enumerate(zip(angles, block)):
-            deg, rep = math.degrees(beta), quality(QuasiEprResource(N, s))
+        for i, (deg, rep) in enumerate(zip(map(math.degrees, angles), _qualities(block))):
             rows.extend((deg, q, f[i], bound, p[i], rep.min_modulus, rep.zero_count,
                          rep.flatness, rep.entropy) for q, f, bound, p in outcomes)
     columns = ("beta_deg", "q", "fidelity", "bound", "probability",
@@ -214,7 +214,7 @@ def find_beta_q_numeric(N: int, resource_kind: str = "j0",
         if objective == "min_fidelity_target":
             scores += _worst_fidelities(target, block, range(q_lo, q_hi + 1))
         else:
-            scores += [getattr(quality(QuasiEprResource(N, s)), objective) for s in block]
+            scores += [getattr(rep, objective) for rep in _qualities(block)]
     return float(betas[int(np.argmax(scores))])
 
 
@@ -231,8 +231,8 @@ def _worst_fidelities(target, s, qs) -> list:
 def _modulus_rows(kind: str, N: int, betas, with_phase: bool = False):
     rows = []
     for angles, block in _grid_blocks(kind, N, betas):
-        for beta, s in zip(angles, block):
-            cells = [np.abs(s).tolist()]
+        for beta, s, mods in zip(angles, block, np.abs(block).tolist()):
+            cells = [mods]
             if with_phase:
                 cells.append(phase_distribution(QuasiEprResource(N, s)).tolist())
             rows.extend(zip(itertools.repeat(math.degrees(beta)), range(N + 1), *cells))

@@ -255,12 +255,12 @@ def high_fidelity_region(alpha: float, N: int) -> tuple[int, int] | None:
 
     Returns None when the bounds cross (no high-fidelity outcomes exist).
     """
-    _check_count(N, "N", 1)
+    N = _check_count(N, "N", 1)
     alpha = _check_real(alpha, "alpha", 0)
     if alpha * alpha > N:  # the bounds cross; a^2 may even overflow to inf
         return None
     lo = math.ceil(alpha * alpha + alpha)
-    hi = math.floor(N - alpha * alpha + alpha)
+    hi = N - math.ceil(alpha * alpha - alpha)  # N stays an int: it may lie beyond the float range
     if lo > hi:
         return None
     return max(lo, 0), hi

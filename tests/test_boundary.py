@@ -129,10 +129,12 @@ CALLS = {
     "find_beta_q_numeric": {"N": ("count", lambda x: find_beta_q_numeric(x, step=0.2)),
                             "step": ("real", lambda x: find_beta_q_numeric(4, step=x))},
     "resource_for_kind": {"N": ("count", lambda x: resource_for_kind("j0", x, 1.0)),
-                          "beta": ("real", lambda x: resource_for_kind("j0", 4, x))},
+                          "beta": ("real", lambda x: resource_for_kind("j0", 4, x)),
+                          "beta-ideal": ("real", lambda x: resource_for_kind("ideal", 4, x))},
     "resources_for_kind": {
         "N": ("count", lambda x: resources_for_kind("relative-phase-input", x, [1.0])),
-        "betas": ("real", lambda x: resources_for_kind("2pt", 5, [x]))},
+        "betas": ("real", lambda x: resources_for_kind("2pt", 5, [x])),
+        "betas-ideal": ("real", lambda x: resources_for_kind("ideal", 4, [0.3, x]))},
     "figure_dataset": {"figure_id": ("count", figure_dataset)},
 }
 
@@ -232,6 +234,11 @@ def check(name: str, arg: str, value) -> None:
 @example(slot=("high_fidelity_region", "alpha"), value=1e200)  # OverflowError from ceil(inf)
 @example(slot=("BeamSplitterAngle", "beta"), value=np.float32(1.5))
 @example(slot=("BeamSplitterAngle", "beta"), value=np.float32(math.inf))
+@example(slot=("resource_for_kind", "beta-ideal"), value="x")  # the flat rows ignored the angle
+@example(slot=("resources_for_kind", "betas-ideal"), value=math.nan)
+@example(slot=("beta_q", "N"), value=10 ** 400)  # OverflowError: an int beyond the float range
+@example(slot=("high_fidelity_region", "N"), value=10 ** 400)
+@example(slot=("MeasurementOutcome", "q"), value=10 ** 400)  # as the index that phi0 multiplies
 def test_numeric_arguments_are_refused_or_give_finite_results(slot, value):
     check(*slot, value)
 
@@ -254,9 +261,11 @@ def test_numeric_arguments_are_refused_or_give_finite_results(slot, value):
     (lambda: post_measurement_state(TARGET, RESOURCE, MeasurementOutcome(3, 0, 1e308)), "phi0"),
     (lambda: post_measurement_state(TARGET, RESOURCE, OUTCOME, -1e308), "measurement_phase"),
     (lambda: reconstruct(BOB, 1e308, OUTCOME), r"measurement_phase \+ resource_phase_offset"),
+    (lambda: brute_force_rotation(J4, 1e308), "beta"),  # the eigenvalues of J_x reach j = 2
 ], ids=["phi0", "step", "k", "q", "twice_level", "figure_id", "twice_j", "N", "theta", "alpha",
         "theta-overflow", "phi0-relative-phase-overflow", "phi0-f-overflow",
-        "phi0-outcome-overflow", "measurement_phase-overflow", "offset-overflow"])
+        "phi0-outcome-overflow", "measurement_phase-overflow", "offset-overflow",
+        "beta-brute-force-overflow"])
 def test_refusals_name_the_argument(call, name):
     with pytest.raises(DomainError, match=f"^{name} must be "):
         call()
@@ -268,7 +277,8 @@ def test_refusals_name_the_argument(call, name):
     lambda: f_coefficient(J4, M0, phi0=8.9e307),
     lambda: post_measurement_state(TARGET, RESOURCE, MeasurementOutcome(3, 0, 5.9e307)).amplitudes,
     lambda: reconstruct(BOB, 5.9e307, OUTCOME).amplitudes,
-], ids=["theta", "phi0-relative-phase", "phi0-f", "phi0-outcome", "offset"])
+    lambda: brute_force_rotation(J4, 8.9e307),
+], ids=["theta", "phi0-relative-phase", "phi0-f", "phi0-outcome", "offset", "beta-brute-force"])
 def test_phases_whose_products_stay_finite_are_accepted(call):
     # phase x largest index is just below the float range: refusing it would be too strict
     assert np.isfinite(call()).all()

@@ -414,7 +414,7 @@ class TestSweep:
         assert "unknown spec keys: q" in err
         assert "q_list" in err
 
-    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-1"])
     def test_non_finite_alpha_is_domain_error(self, capsys, tmp_path, alpha):
         path = tmp_path / "spec.txt"
         path.write_text(f"resource_kind = j0\nn = 10\nalpha = {alpha}\n")

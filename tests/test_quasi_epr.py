@@ -24,6 +24,8 @@ from fockport import (
     RelativePhaseSpec,
     wigner_d_element,
 )
+from fockport import sweep
+from fockport.quasi_epr import _qualities
 
 PI = math.pi
 
@@ -254,6 +256,61 @@ class TestQuality:
         report = quality(ideal_resource(15))
         assert report.normalized_entropy == pytest.approx(1.0, abs=1e-14)
         assert report.flatness == pytest.approx(0.0, abs=1e-15)
+
+
+def reference_quality(s):
+    """quality as a one-row computation: the block pass must give each row these bits."""
+    mods = np.abs(s)
+    p = mods ** 2
+    p = p / p.sum()
+    nz = p > 0.0
+    entropy = float(-(p[nz] * np.log(p[nz])).sum())
+    log_dim = math.log(len(s))
+    return (float(mods.min()).hex(), int(np.count_nonzero(mods < 1e-12)),
+            float(mods.max() - mods.min()).hex(), entropy.hex(),
+            (entropy / log_dim if log_dim > 0.0 else 1.0).hex())
+
+
+def grid(kind, N, betas):
+    """The resource amplitudes of a sweep kind at every angle, as one stack."""
+    return np.concatenate([rows for _, rows in sweep._grid_blocks(kind, N, betas)])
+
+
+def report_bits(report):
+    return (report.min_modulus.hex(), report.zero_count, report.flatness.hex(),
+            report.entropy.hex(), report.normalized_entropy.hex())
+
+
+class TestBlockQualities:
+    """_qualities scores a block of rows; each row keeps the bits of quality on its own."""
+
+    @staticmethod
+    def assert_rows_match(N, block):
+        reports = _qualities(block)
+        assert len(reports) == len(block)
+        for s, report in zip(block, reports):
+            assert report_bits(report) == report_bits(quality(QuasiEprResource(N, s)))
+            assert report_bits(report) == reference_quality(s)
+        return reports
+
+    @pytest.mark.parametrize("kind, N", [("j0", 20), ("2pt", 21), ("3pt", 20), ("4pt", 21),
+                                         ("3pt", 40), ("4pt", 41), ("relative-phase-input", 12),
+                                         ("ideal", 6)])
+    def test_every_kind_over_a_grid(self, kind, N):
+        betas = [0.0, 0.4, beta_q(N), 1.2, PI / 2, 2.5, PI]
+        reports = self.assert_rows_match(N, grid(kind, N, betas))
+        if kind in ("3pt", "4pt"):
+            # at beta = 0 the filter's few components sit among exact zeros
+            assert reports[0].zero_count == N + 1 - (3 if kind == "3pt" else 4)
+
+    def test_flushed_zeros_at_large_n(self):
+        reports = self.assert_rows_match(20000, grid("j0", 20000, [beta_q(20000), PI / 2]))
+        assert reports[1].zero_count > 0
+
+    def test_single_photon_number(self):
+        for s in ([1.0], [-1j], [math.sqrt(0.5) * (1 + 1j)]):
+            report, = self.assert_rows_match(0, np.array([s], dtype=complex))
+            assert report.normalized_entropy == 1.0
 
 
 class TestPhaseDistribution:

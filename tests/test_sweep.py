@@ -194,10 +194,14 @@ class TestResourceForKind:
         for resource, beta in zip(make_resources(state, betas), betas):
             assert resource.s.tobytes() == make_resource(state, beta).s.tobytes()
 
-    @pytest.mark.parametrize("beta", [math.nan, math.inf])
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, "x"])
     def test_non_finite_beta_is_domain_error(self, beta):
-        with pytest.raises(DomainError, match="finite"):
-            resources_for_kind("j0", 10, [0.5, beta])
+        # the ideal resource does not depend on beta, but refuses a bad one like every kind
+        for kind in ("j0", "ideal"):
+            with pytest.raises(DomainError, match="beta must be finite"):
+                resources_for_kind(kind, 10, [0.5, beta])
+            with pytest.raises(DomainError, match="beta must be finite"):
+                resource_for_kind(kind, 10, beta)
         with pytest.raises(DomainError, match="finite"):
             make_resource(filtered_input(10, FilterOrder(0)), beta)
 
@@ -364,6 +368,44 @@ class TestSmallBlocks:
         stack = np.stack([(flat, first, last)[i] for i in order]).astype(complex)
         with pytest.raises(ImpossibleOutcomeError, match=f"q = {bad_q} "):
             _worst_fidelities(target, stack, range(2, 41))
+
+
+@pytest.fixture
+def resources_built(monkeypatch):
+    """Every QuasiEprResource built while the test runs, by N."""
+    built = []
+    post_init = QuasiEprResource.__post_init__
+
+    def spy(self):
+        built.append(self.N)
+        post_init(self)
+
+    monkeypatch.setattr(QuasiEprResource, "__post_init__", spy)
+    return built
+
+
+class TestNoResourcePerRow:
+    """Grid metrics read the rows of a block: no resource object per angle."""
+
+    @pytest.mark.parametrize("kind, N", GRID_KINDS)
+    def test_sweep(self, monkeypatch, resources_built, kind, N):
+        monkeypatch.setattr(sweep, "LANE_BUDGET", 4 * (N + 1))  # several blocks
+        spec = SweepSpec(kind, N, BetaGrid(0.0, PI, math.radians(15.0)), alpha=1.0)
+        assert len(run_sweep(spec).rows) > 0
+        # the ideal kind builds its one flat row once per grid
+        assert resources_built == ([N] if kind == "ideal" else [])
+
+    @pytest.mark.parametrize("objective", ["min_modulus", "entropy"])
+    @pytest.mark.parametrize("kind, N", [("j0", 20), ("4pt", 21), ("relative-phase-input", 12)])
+    def test_quality_search(self, resources_built, objective, kind, N):
+        find_beta_q_numeric(N, kind, objective)
+        assert resources_built == []
+
+    @pytest.mark.parametrize("figure_id", [1, 2, 3, 4, 5, 6, 7])
+    def test_figures(self, resources_built, figure_id):
+        figure_dataset(figure_id)
+        # figure 3's two phase rows are the only ones read through a resource
+        assert resources_built == ([20, 20] if figure_id == 3 else [])
 
 
 class TestFindBetaQ:
