@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _check_count, _check_real
-from .su2 import (SpinJ, SpinProjection, SpinState, _check_unit_norm, _rotated, basis_state,
-                  wigner_d_column)
+from .errors import DomainError, _check_count, _check_real, _set_vector
+from .su2 import SpinJ, SpinProjection, SpinState, _rotated, basis_state, wigner_d_column
 
 _ZERO_TOL = 1e-12
 
@@ -51,12 +50,8 @@ class QuasiEprResource:
     s: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.s, dtype=complex)
-        object.__setattr__(self, "s", s)
         object.__setattr__(self, "N", _check_count(self.N, "N", 0))
-        if s.shape != (self.N + 1,):
-            raise DomainError(f"s must have length {self.N + 1}, got {s.shape}")
-        _check_unit_norm(s, "resource")
+        _set_vector(self, "s", "resource s", complex, self.N + 1)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _check_count, _check_real
+from .errors import DomainError, _check_count, _check_real, _set_vector
 from .su2 import SpinJ, SpinProjection, SpinState, _check_projection
 
 
@@ -103,11 +103,8 @@ class CoherentTarget:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "k_max", _check_count(self.k_max, "k_max", 0))
-        if c.shape != (self.k_max + 1,):
-            raise DomainError(f"coeffs must have length {self.k_max + 1}, got {c.shape}")
+        _set_vector(self, "coeffs", "coeffs of the target", float, self.k_max + 1)
         _check_real(self.alpha, "alpha", 0)
 
     def coefficient(self, k: int) -> float:

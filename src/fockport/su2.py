@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SizeCapError, _check_count, _check_real
+from .errors import DomainError, SizeCapError, _check_count, _check_real, _set_vector
 
-_NORM_TOL = 1e-10
 _FLUSH = 1e-300  # amplitudes below this modulus are flushed to exact zero
 
 # rescaling threshold for the two-sided recurrence working pair
@@ -82,19 +81,6 @@ class SpinProjection:
         return self.twice_m / 2.0
 
 
-def _check_unit_norm(amps: np.ndarray, what: str) -> None:
-    """Raise DomainError unless each row of amps, one complex vector or a stack, has unit norm.
-
-    The squares are summed by np.add.reduce, not np.linalg.norm: that calls
-    BLAS, which runs threaded on long vectors and costs far more than a
-    tolerance check needs.
-    """
-    parts = np.ascontiguousarray(amps).view(np.float64)
-    for norm in np.sqrt(np.add.reduce(parts * parts, axis=-1)).reshape(-1).tolist():
-        if not abs(norm - 1.0) <= _NORM_TOL:
-            raise DomainError(f"{what} norm {norm} deviates from 1 by more than {_NORM_TOL}")
-
-
 def _check_projection(j: SpinJ, m: SpinProjection, name: str = "m"):
     if abs(m.twice_m) > j.twice_j:
         raise DomainError(f"|{name}| = {abs(m.m)} exceeds j = {j.j}")
@@ -110,11 +96,7 @@ class SpinState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", amps)
-        if amps.shape != (self.j.dim,):
-            raise DomainError(f"amplitude vector must have length {self.j.dim}, got {amps.shape}")
-        _check_unit_norm(amps, "state")
+        _set_vector(self, "amplitudes", "amplitudes of the state", complex, self.j.dim)
 
     def twice_m_values(self) -> np.ndarray:
         return np.arange(self.j.dim) * 2 - self.j.twice_j
@@ -142,10 +124,7 @@ class WignerColumn:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if vals.shape != (self.j.dim,):
-            raise DomainError(f"column must have length {self.j.dim}, got {vals.shape}")
+        _set_vector(self, "values", "values of the column", float, self.j.dim, unit=False)
         _check_real(self.beta, "beta")
 
     def value(self, m_out: SpinProjection) -> float:

@@ -16,12 +16,12 @@ import numpy as np
 
 from ._version import __version__
 from .errors import (DomainError, ImpossibleOutcomeError, SizeCapError, _check_count,
-                     _check_real, _is_integer)
+                     _check_real, _check_unit_norm, _is_integer)
 from .quasi_epr import (FilterOrder, QuasiEprResource, _qualities, beta_q, filtered_input,
                         ideal_resource, phase_distribution)
 from .states import (RelativePhaseSpec, coherent_coefficients,
                      relative_phase_state)
-from .su2 import LANE_BUDGET, _check_unit_norm, _rotated
+from .su2 import LANE_BUDGET, _rotated
 from .teleport import _evaluate, high_fidelity_region
 
 _DEFAULT_STEP = math.radians(0.5)

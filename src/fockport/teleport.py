@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ImpossibleOutcomeError, _check_count, _check_real, _is_integer
+from .errors import (DomainError, ImpossibleOutcomeError, _check_count, _check_real, _is_integer,
+                     _set_vector)
 from .quasi_epr import QuasiEprResource
 from .states import CoherentTarget
-from .su2 import _check_unit_norm
 
 
 @dataclass(frozen=True)
@@ -52,14 +52,9 @@ class BobState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", amps)
         for name in ("N", "q"):
             object.__setattr__(self, name, _check_count(getattr(self, name), name, 0))
-        if amps.shape != (self.q - self.k0 + 1,):
-            raise DomainError(
-                f"amplitudes must cover k = {self.k0}..{self.q}, got length {amps.shape[0]}")
-        _check_unit_norm(amps, "BobState")
+        _set_vector(self, "amplitudes", "amplitudes of BobState", complex, self.q - self.k0 + 1)
 
     @property
     def k0(self) -> int:
@@ -79,9 +74,7 @@ class SingleModeState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", amps)
-        _check_unit_norm(amps, "state")
+        _set_vector(self, "amplitudes", "amplitudes of the state", complex, None)
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,13 @@ numpy scalars.  A call must end in a finite result or a DomainError; a sweep
 spec may also be refused by its ValueError("invalid sweep spec: ...").  A
 bool, None, a string or a non-finite float is always refused, and so is a
 non-integer where a count is needed.  Draws are derandomized so that every
-run sees the same cases.  Photon numbers near the cap run in a child process
-under an address-space limit.
+run sees the same cases, and every argument also meets every edge value of
+the draws in a plain grid.  Photon numbers near or beyond the cap run in a
+child process under an address-space limit.  Each array field of a public
+record is given a table of bad arrays, each refused by the field's name.
 """
 
 import dataclasses
-import json
 import math
 import os
 import subprocess
@@ -27,7 +28,7 @@ import fockport
 from fockport import (MAX_TWICE_J, BeamSplitterAngle, BetaGrid, BobState, CoherentTarget,
                       DomainError, FilterOrder, GeneralPhaseSpec, MeasurementOutcome,
                       QuasiEprResource, RelativePhaseSpec, SingleModeState, SpinJ,
-                      SpinProjection, SweepSpec, TwoModeIndex, WignerColumn, basis_state,
+                      SpinProjection, SpinState, SweepSpec, TwoModeIndex, WignerColumn, basis_state,
                       beta_q, brute_force_rotation, coherent_coefficients, evaluate_outcome,
                       f_coefficient, fidelity, fidelity_bound, figure_dataset,
                       filtered_input, find_beta_q_numeric, general_phase_state,
@@ -152,16 +153,18 @@ assert set(fockport.__all__) == set(CALLS) | NO_NUMBERS and not set(CALLS) & NO_
     "every public name is in CALLS or in NO_NUMBERS"
 SLOTS = sorted((name, arg) for name, args in CALLS.items() for arg in args)
 
+HUGE = [MAX_TWICE_J + 1, 10 ** 12, -10 ** 12, 10 ** 400, -10 ** 400]
+NUMPY = [np.int64(3), np.uint8(3), np.uint8(255), np.int32(-1), np.uint64(2 ** 64 - 1),
+         np.float64(2.5), np.float64(math.nan), np.float32(math.inf),
+         np.bool_(True), np.bool_(False)]
 NUMBERS = st.one_of(
     st.integers(-3, 64),
-    st.sampled_from([MAX_TWICE_J + 1, 10 ** 12, -10 ** 12, 10 ** 400, -10 ** 400]),
+    st.sampled_from(HUGE),
     st.floats(allow_nan=True, allow_infinity=True),
     st.booleans(),
     st.none(),
     st.text(max_size=3),
-    st.sampled_from([np.int64(3), np.uint8(3), np.uint8(255), np.int32(-1), np.uint64(2 ** 64 - 1),
-                     np.float64(2.5), np.float64(math.nan), np.float32(math.inf),
-                     np.bool_(True), np.bool_(False)]),
+    st.sampled_from(NUMPY),
 )
 
 
@@ -284,31 +287,136 @@ def test_phases_whose_products_stay_finite_are_accepted(call):
     assert np.isfinite(call()).all()
 
 
+# Every array field of a public record: field -> (name that starts its refusals, build with
+# that array, a valid array, tags).  The tags say which checks apply: "real" (else complex),
+# "unit" norm (else only finite: WignerColumn takes np.zeros(5) in CALLS), "fixed" length.
+FIELDS = {
+    "SpinState.amplitudes": ("amplitudes of the state", lambda a: SpinState(J4, a),
+                             STATE.amplitudes, {"unit", "fixed"}),
+    "WignerColumn.values": ("values of the column", lambda a: WignerColumn(J4, M0, 0.7, a),
+                            wigner_d_column(J4, M0, 0.7).values, {"real", "fixed"}),
+    "QuasiEprResource.s": ("resource s", lambda a: QuasiEprResource(6, a), RESOURCE.s,
+                           {"unit", "fixed"}),
+    "CoherentTarget.coeffs": ("coeffs of the target",
+                              lambda a: CoherentTarget(1.0, TARGET.k_max, a), TARGET.coeffs,
+                              {"real", "unit", "fixed"}),
+    "BobState.amplitudes": ("amplitudes of BobState", lambda a: BobState(BOB.N, BOB.q, a),
+                            BOB.amplitudes, {"unit", "fixed"}),
+    "SingleModeState.amplitudes": ("amplitudes of the state", SingleModeState,
+                                   VACUUM.amplitudes, {"unit"}),
+}
+
+
+def with_entry(v, i, x):
+    """A copy of v with entry i set to x."""
+    w = np.array(v)
+    w[i] = x
+    return w
+
+
+# bad value -> (build it from a valid array, the tag a field needs for it to be bad, if any)
+BAD_ARRAYS = {
+    "nan-entry": (lambda v: with_entry(v, 0, math.nan), None),
+    "inf-entry": (lambda v: with_entry(v, -1, -math.inf), None),
+    "empty": (lambda v: v[:0], None),
+    "longer": (lambda v: np.append(v, 0.0), "fixed"),
+    "2-d": (lambda v: v[np.newaxis], None),
+    "2-d-list": (lambda v: [[x] for x in v.tolist()], None),
+    "0-d": (lambda v: v[0], None),
+    "string": (lambda v: "ab", None),
+    "numbers-as-text": (lambda v: v.astype(str), None),
+    "bools": (lambda v: v != 0, None),
+    "dict": (lambda v: {}, None),
+    "ragged": (lambda v: [v[:1].tolist(), v.tolist()], None),
+    "integer-beyond-float": (lambda v: [10 ** 400] * len(v), None),
+    "complex": (lambda v: v * np.exp(0.3j), "real"),
+    "complex-list": (lambda v: [v[0] * 1j] + v[1:].tolist(), "real"),
+    "off-norm": (lambda v: v * 1.5, "unit"),
+}
+
+
+@pytest.mark.parametrize("field, bad", [
+    (field, bad) for field, (_, _, _, tags) in FIELDS.items()
+    for bad, (_, needs) in BAD_ARRAYS.items() if needs is None or needs in tags])
+def test_array_fields_refuse_bad_arrays_by_name(field, bad):
+    name, build, valid, _ = FIELDS[field]
+    with pytest.raises(DomainError, match=f"^{name} "):
+        build(BAD_ARRAYS[bad][0](valid))
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_array_fields_accept_valid_arrays(field):
+    _, build, valid, tags = FIELDS[field]
+    # an array, a list, a strided view and a list of ints; a column need not have unit norm
+    values = [valid, valid.tolist(), np.repeat(valid, 2)[::2], [0] * (len(valid) - 1) + [1]]
+    values += [] if "unit" in tags else [np.zeros(len(valid)), 1.5 * valid]
+    for value in values:
+        stored = getattr(build(value), field.split(".")[1])
+        assert stored.dtype == (float if "real" in tags else complex)
+        assert stored.shape == valid.shape
+        np.testing.assert_array_equal(stored, value)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: MeasurementOutcome(10 ** 400, 0), "phi0"),  # once printed all 401 digits of q
+    (lambda: MeasurementOutcome(10 ** 5000, 0), "phi0"),  # once a ValueError: too long to print
+    (lambda: coherent_coefficients(-10 ** 5000), "alpha"),
+], ids=["index-10**400", "index-10**5000", "value--10**5000"])
+def test_refusals_of_integers_beyond_the_float_range_are_short(call, name):
+    with pytest.raises(DomainError, match=f"^{name} must be finite") as info:
+        call()
+    assert len(str(info.value)) <= 100, str(info.value)[:200]
+
+
+# Every slot meets every edge value of NUMBERS, whatever the draws above pair.
+# Integers beyond the photon-number cap run in the capped child below.
+EDGES = HUGE + NUMPY + [math.nan, math.inf, -math.inf, True, None, "x"]
+
+
+def beyond_cap(value) -> bool:
+    return isinstance(value, (int, np.integer)) and abs(int(value)) > MAX_TWICE_J
+
+
+@pytest.mark.parametrize("value", [v for v in EDGES if not beyond_cap(v)], ids=repr)
+@pytest.mark.parametrize("slot", SLOTS, ids="-".join)
+def test_every_slot_meets_every_edge_value(slot, value):
+    check(*slot, value)
+
+
 # Photon numbers at and just past the cap for every argument that sizes an
-# allocation.  They run in a child process whose address space is capped, so
-# that a missed check fails with numpy's memory error instead of allocating
-# gigabytes here.
+# allocation, and every slot with each edge value beyond the cap.  They run
+# in a child process whose address space is capped, so that a missed check
+# fails with numpy's memory error instead of allocating gigabytes here.
 ALLOCATING = [("SpinJ", "twice_j"), ("ideal_resource", "N"), ("RelativePhaseSpec", "N"),
               ("filtered_input", "N"), ("TwoModeIndex", "n_a"), ("wigner_d_element", "j")]
+NEAR_CAP = [(name, arg, n) for name, arg in ALLOCATING
+            for n in (MAX_TWICE_J, MAX_TWICE_J + 1, 2 * MAX_TWICE_J)]
+EDGES_BEYOND_CAP = [(name, arg, v) for name, arg in SLOTS for v in EDGES if beyond_cap(v)]
 
 _CHILD = """
-import json, resource, sys, warnings
+import resource, sys, warnings
 warnings.simplefilter("error", RuntimeWarning)
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 sys.path.insert(0, sys.argv[2])
-from test_boundary import check
-for name, arg, value in json.loads(sys.argv[1]):
-    check(name, arg, value)
+import test_boundary
+for name, arg, value in getattr(test_boundary, sys.argv[1]):
+    test_boundary.check(name, arg, value)
 print("ok")
 """
 
 
-def test_photon_numbers_near_the_cap():
-    cases = [(name, arg, n) for name, arg in ALLOCATING
-             for n in (MAX_TWICE_J, MAX_TWICE_J + 1, 2 * MAX_TWICE_J)]
+def check_capped(cases: str) -> None:
+    """Run check over the cases, a list named in this module, in the capped child."""
     src = os.path.dirname(os.path.dirname(fockport.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(cases),
-                           os.path.dirname(__file__)],
+    proc = subprocess.run([sys.executable, "-c", _CHILD, cases, os.path.dirname(__file__)],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.stdout.split() == ["ok"], proc.stderr[-2000:]
+
+
+def test_photon_numbers_near_the_cap():
+    check_capped("NEAR_CAP")
+
+
+def test_every_slot_meets_every_edge_value_beyond_the_cap():
+    check_capped("EDGES_BEYOND_CAP")

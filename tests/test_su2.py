@@ -26,7 +26,7 @@ from fockport import (
     wigner_d_column,
     wigner_d_element,
 )
-from fockport import su2
+from fockport import errors, su2
 
 from conftest import dmat_expm, mp_d, random_state_vector, rot_expm
 
@@ -223,11 +223,11 @@ class TestTypes:
 
     def test_unit_norm_check_takes_each_row_of_a_stack(self):
         rows = np.exp(0.3j * np.arange(28)).reshape(4, 7) / math.sqrt(7)
-        su2._check_unit_norm(rows, "resource")  # every row has unit norm, the stack norm 2
+        errors._check_unit_norm(rows, "resource")  # every row has unit norm, the stack norm 2
         rows[2] = [0.0, 1.5j, 0.0, 0.0, 0.0, 0.0, 0.0]
         rows[3] = math.nan
         with pytest.raises(DomainError, match=r"^resource norm 1\.5 deviates"):
-            su2._check_unit_norm(rows, "resource")
+            errors._check_unit_norm(rows, "resource")
 
     def test_state_requires_matching_length(self):
         with pytest.raises(DomainError):
