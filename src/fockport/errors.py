@@ -1,11 +1,16 @@
 """Exception types, and the one check of count, real and vector arguments shared by the package."""
 
+import reprlib
 from math import isfinite, nan
 from numbers import Real
 
 import numpy as np
 
 _NORM_TOL = 1e-10
+
+# refused values are shown by a bounded repr: six items of a sequence, 40 characters of the rest
+_REPR = reprlib.Repr()
+_REPR.maxlevel, _REPR.maxstring, _REPR.maxother = 1, 40, 40
 
 
 class DomainError(ValueError):
@@ -29,7 +34,7 @@ def _check_count(value, name: str, lo: int | None) -> int:
     """value as an int if an integer >= lo (None: any); numpy unsigned ones would wrap in q - N."""
     if not _is_integer(value) or lo is not None and value < lo:
         kind = "an" if lo is None else "a positive" if lo else "a non-negative"
-        raise DomainError(f"{name} must be {kind} integer, got {value!r}")
+        raise DomainError(f"{name} must be {kind} integer, got {_shown(value)}")
     return int(value)
 
 
@@ -49,10 +54,11 @@ def _check_real(value, name: str, lo: float | None = None, times: float = 1.0) -
 
 
 def _shown(value) -> str:
-    """repr(value), but an integer beyond 64 bits by its size: its digits may not even print."""
+    """A repr of value at most a few hundred characters long; an integer beyond 64 bits is
+    shown by its size, since its digits may not even print."""
     bits = abs(int(value)).bit_length() if _is_integer(value) else 0
     sign = "a negative" if bits > 64 and value < 0 else "an"
-    return f"{sign} integer of {bits} bits" if bits > 64 else repr(value)
+    return f"{sign} integer of {bits} bits" if bits > 64 else _REPR.repr(value)
 
 
 def _check_unit_norm(amps: np.ndarray, what: str) -> None:

@@ -11,7 +11,7 @@ evaluated directly from the collapsed amplitudes.
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -87,51 +87,91 @@ class TeleportOutcome:
     probability: float
 
 
+_BATCH = 1 << 14  # entries (q x row length x resource rows) one batch of q sums at a time
+
+
 def _evaluate(target: CoherentTarget, s: np.ndarray, qs, apply_parity_correction: bool):
     """Yield (q, F, bound, P) for each q in qs; P and F sum over k = k0..q in order.
 
     s is one resource's s_n or a (B, N+1) stack of them, for which F and P are
-    lists over the rows.  c_k^2 over k = 0..N+k_max (zero-padded) and s_n,
-    |s_n|^2 reversed are built once, so q's window is [k0:q+1] of the first
-    against [..., N-q+k0:] of the others (s_{q-k}).  Each row is reduced on
-    its own (axis -1) and gets the bits of the 1-D call.  Consecutive q with
-    the same bound window (k0, min(q, k_max)) share one bound sum.
+    lists over the rows.  q's window pairs c_k^2, zero past k_max, with
+    s_{q-k}, the reversed s from N-q+k0 on.  A batch of q is summed by one
+    np.add.reduceat per sum, over an array with a row per q (0.0, the window,
+    junk) and a column per resource row.  reduceat copies a segment's first
+    entry and adds numpy's pairwise sum of the rest, and np.add.reduce adds
+    that same sum to 0.0, so a segment from the 0.0 to the window's end has
+    the bits of np.add.reduce over the window alone; the segments over the
+    junk are dropped.  Only the products up to k_max are formed; past them a
+    window keeps its zeros.  qs is read a batch at a time, so a bad q raises
+    before the earlier rows of its batch are yielded.
     """
     N, k_max = s.shape[-1] - 1, target.k_max
-    rows = len(s) if s.ndim == 2 else None
-    c2 = np.concatenate((target.coeffs, np.zeros(N))) ** 2
-    s_rev = np.ascontiguousarray(s[..., ::-1])
-    s2_rev = np.abs(s_rev) ** 2
-    # c_k^2 times the parity phase over k = 0..N+k_max for q % 2, built when first needed; a
-    # phase of 1 or +-i multiplies exactly, so its place in the product does not change F
-    c2_phase = functools.cache(lambda odd: c2 * _parity_factors(np.arange(N + k_max + 1), odd))
-    add = np.add.reduce
-    window = bound = None
-    for q in qs:
-        if type(q) is not int or q < 0:  # the common case costs one test
-            q = _check_count(q, "q", 0)
-        if q > N + k_max:
-            yield (q, None, 0.0, 0.0) if rows is None else (q, [None] * rows, 0.0, [0.0] * rows)
-            continue
-        k0 = max(0, q - N)
-        w = c2[k0:q + 1]
-        lo = N - q + k0
-        p = add(w * s2_rev[..., lo:], -1)
-        if apply_parity_correction:
-            w = c2_phase(q % 2)[k0:q + 1]
-        num = add(w * s_rev[..., lo:], -1)
-        # F = |num|^2 / P; Python's complex abs and float ** use libm's hypot and pow, as numpy's do
-        if rows is None:
-            p = float(p)
-            f = None if p <= 0.0 else float(abs(num) ** 2 / p)
-        else:
-            p = p.tolist()
-            f = [None if pb <= 0.0 else abs(z) ** 2 / pb for z, pb in zip(num.tolist(), p)]
-        hi = min(q, k_max)
-        if window != (k0, hi):
-            window = (k0, hi)
-            bound = float(add(c2[k0:hi + 1]))
-        yield q, f, bound, p
+    stack = s.reshape(-1, N + 1)
+    B, J = len(stack), min(N, k_max) + 1  # J: products in the longest window
+    # c_k^2 (to an even length) and, a column per resource row, s_{N-i} and |s_{N-i}|^2,
+    # zero-padded and read J entries from every start: c2[k0] is c_k^2 over k0..k0+J-1
+    c2 = np.concatenate((target.coeffs, np.zeros(J - 1 + (k_max + J) % 2))) ** 2
+    s_rev = np.zeros((N + J, B), s.dtype)
+    s_rev[:N + 1] = stack.T[::-1]
+    s2_rev = _starts(np.abs(s_rev) ** 2, J)
+    s_rev = _starts(s_rev, J)
+    if apply_parity_correction:
+        # c_k^2 times the parity phase for q % 2 = 0, 1 (columns), pairing k = 2i, 2i+1; a
+        # phase of 1 or +-i multiplies exactly, so its place in the product does not change F
+        c2_phase = _starts((c2.reshape(-1, 2, 1) * _PARITY_PHASES.T).reshape(-1, 2), J)
+    c2 = _starts(c2, J)
+    one = s.ndim == 1
+    cap = max(1, _BATCH // (B * (N + 2)))  # N + 2: the longest row, 0.0 and a window
+    qs = iter(qs)
+    real = None
+    while batch := [q if type(q) is int and q >= 0 else _check_count(q, "q", 0)
+                    for q in itertools.islice(qs, cap)]:
+        live = [q for q in batch if q <= N + k_max]
+        if live and real is None:
+            # room for the rows of P and of the numerator (a column per resource row) of as
+            # many q as this first batch holds (no later one holds more); zero but where a
+            # batch writes, and it zeroes what it wrote when done
+            real = np.zeros((len(batch) * (N + 2), B))
+            cplx = np.zeros((len(batch) * (N + 2), B), s_rev.dtype)
+        if live:
+            q = np.array(live)
+            shift = q - N
+            k0 = np.maximum(shift, 0)
+            lo = k0 - shift  # s_{q-k0} in s_rev
+            cut = np.maximum(q - k_max, 0)  # the window's k past k_max
+            # a row per q: 0.0, the window, junk up to the batch's longest window
+            size = min(max(live), N) + 2
+            width = min(J, size - 1)
+            rows = [a[:len(q) * size].reshape(len(q), size, B)[:, 1:width + 1]
+                    for a in (real, cplx)]
+            # each row's start and its window's end, in turn, first the bound's, k = k0..q-cut;
+            # a sum runs up to the last window's end, which so needs no index of its own
+            ends = np.arange(0, len(q) * size, size).repeat(2)
+            ends[1::2] += N + 2 - lo - cut
+            rows[0][...] = c2[k0, :width, None]
+            bound = np.add.reduceat(real[:ends[-1], 0], ends[:-1])[::2]
+            rows[0] *= s2_rev[lo, :width]
+            ends[1::2] += cut
+            p = np.add.reduceat(real[:ends[-1]], ends[:-1], axis=0)[::2]
+            w = c2_phase[k0, :width, q & 1] if apply_parity_correction else c2[k0, :width]
+            np.multiply(w[:, :, None], s_rev[lo, :width], out=rows[1])
+            num = np.add.reduceat(cplx[:ends[-1]], ends[:-1], axis=0)[::2]
+            rows[0][...] = rows[1][...] = 0.0
+            sums = iter(zip(bound.tolist(), p.tolist(), num.tolist()))
+        for q in batch:
+            if q > N + k_max:
+                yield (q, None, 0.0, 0.0) if one else (q, [None] * B, 0.0, [0.0] * B)
+                continue
+            bound, p, num = next(sums)
+            # F = |num|^2 / P; Python's complex abs and float ** use libm's hypot and pow
+            f = [None if pb <= 0.0 else abs(z) ** 2 / pb for z, pb in zip(num, p)]
+            yield (q, f[0], bound, p[0]) if one else (q, f, bound, p)
+
+
+def _starts(a: np.ndarray, width: int) -> np.ndarray:
+    """A view of the contiguous a whose [i] is a[i:i + width]."""
+    shape = (len(a) - width + 1, width) + a.shape[1:]
+    return np.ndarray(shape, a.dtype, a, 0, a.strides[:1] + a.strides)
 
 
 def evaluate_all(target: CoherentTarget, resource: QuasiEprResource,
@@ -139,7 +179,7 @@ def evaluate_all(target: CoherentTarget, resource: QuasiEprResource,
     """evaluate_outcome for every q = 0..N+k_max, in q order, in one pass.
 
     Each row is bit-identical to evaluate_outcome at its q; the arrays the
-    windows are sliced from are built once instead of once per q.
+    windows are read from are built once, and a batch of q is summed at once.
     """
     qs = range(resource.N + target.k_max + 1)
     return [TeleportOutcome(*row) for row in _evaluate(target, resource.s, qs,
@@ -199,6 +239,10 @@ def parity_phase_correction(state: SingleModeState, q: int) -> SingleModeState:
 def _parity_factors(ks: np.ndarray, q: int) -> np.ndarray:
     powers = (ks * ks) % 4
     return 1j ** powers if q % 2 == 0 else (-1j) ** powers
+
+
+# _parity_factors for q % 2 = 0, 1 (rows) at k % 2 = 0, 1: it depends on k through k^2 % 4
+_PARITY_PHASES = np.stack([_parity_factors(np.arange(2), odd) for odd in (0, 1)])
 
 
 def fidelity(target: CoherentTarget, resource: QuasiEprResource, q: int,

@@ -368,6 +368,18 @@ def test_refusals_of_integers_beyond_the_float_range_are_short(call, name):
     assert len(str(info.value)) <= 100, str(info.value)[:200]
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: coherent_coefficients([0.0] * 100000), "alpha"),  # once 500,043 characters
+    (lambda: coherent_coefficients("x" * 100000), "alpha"),  # once 100,045
+    (lambda: MeasurementOutcome([0] * 100000, 0), "q"),
+    (lambda: MeasurementOutcome(3, 0, [[0.0] * 1000] * 1000), "phi0"),
+], ids=["list", "string", "count-list", "nested-list"])
+def test_refusals_of_long_values_are_short(call, name):
+    with pytest.raises(DomainError, match=f"^{name} must be") as info:
+        call()
+    assert len(str(info.value)) <= 300, str(info.value)[:400]
+
+
 # Every slot meets every edge value of NUMBERS, whatever the draws above pair.
 # Integers beyond the photon-number cap run in the capped child below.
 EDGES = HUGE + NUMPY + [math.nan, math.inf, -math.inf, True, None, "x"]

@@ -1,7 +1,10 @@
 """Conditional collapse, reconstruction, fidelity, and bounds."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -37,7 +40,8 @@ from fockport import (
     resource_from_state,
 )
 
-from fockport.sweep import BetaGrid, SweepSpec, run_sweep
+from fockport.sweep import BetaGrid, SweepSpec, resources_for_kind, run_sweep
+from fockport.teleport import _BATCH, _evaluate, _parity_factors
 
 PI = math.pi
 
@@ -595,3 +599,117 @@ class TestEdgeBehaviour:
         rows = evaluate_all(unit_target, small_resource)
         assert rows[-1].q == small_resource.N + unit_target.k_max
         assert rows[-1].probability > 0.0
+
+
+def per_q_rows(target, s, qs, parity):
+    """The q loop before batching, as an oracle: one np.add.reduce per sum and q."""
+    N, k_max = s.shape[-1] - 1, target.k_max
+    rows = None if s.ndim == 1 else len(s)
+    c2 = np.concatenate((target.coeffs, np.zeros(N))) ** 2
+    s_rev = np.ascontiguousarray(s[..., ::-1])
+    s2_rev = np.abs(s_rev) ** 2
+    ks = np.arange(N + k_max + 1)
+    for q in map(int, qs):
+        if q > N + k_max:
+            yield (q, None, 0.0, 0.0) if rows is None else (q, [None] * rows, 0.0, [0.0] * rows)
+            continue
+        k0 = max(0, q - N)
+        w, lo = c2[k0:q + 1], N - q + k0
+        p = np.add.reduce(w * s2_rev[..., lo:], -1)
+        if parity:
+            w = (c2 * _parity_factors(ks, q % 2))[k0:q + 1]
+        num = np.add.reduce(w * s_rev[..., lo:], -1)
+        bound = float(np.add.reduce(c2[k0:min(q, k_max) + 1]))
+        if rows is None:
+            p = float(p)
+            yield q, None if p <= 0.0 else float(abs(num) ** 2 / p), bound, p
+        else:
+            p = p.tolist()
+            f = [None if pb <= 0.0 else abs(z) ** 2 / pb for z, pb in zip(num.tolist(), p)]
+            yield q, f, bound, p
+
+
+def q_lists(N, k_max, B, rng):
+    """All q and one past them, an unordered list with repeats and unreachable q, numpy
+    integers, and lists one short of, at and one past the batch size."""
+    last = N + k_max
+    cap = max(1, _BATCH // (B * (N + 2)))
+    yield range(last + 2)
+    yield [last + 1, 5, 0, last, 5, 10 ** 30, 2 * last, 1, 0]
+    yield [np.int64(last), np.uint8(min(last, 255)), np.int32(0)]
+    for length in (cap - 1, cap, cap + 1):
+        yield [int(q) for q in rng.integers(0, last + 3, length)]
+
+
+# windows on both sides of 8 and 128 entries (numpy's pairwise blocks), k_max above and
+# below N (alpha 0.5, 3 and 12 give k_max 9, 37 and 236)
+ORACLE_CASES = [("j0", 8), ("2pt", 7), ("2pt", 9), ("3pt", 128), ("4pt", 129), ("ideal", 127),
+                ("relative-phase-input", 20), ("j0", 300)]
+
+
+@pytest.mark.parametrize("parity", [False, True])
+@pytest.mark.parametrize("alpha", [0.5, 3.0, 12.0])
+@pytest.mark.parametrize("kind,n", ORACLE_CASES)
+def test_batched_rows_match_the_per_q_loop(kind, n, alpha, parity):
+    target = coherent_coefficients(alpha)
+    stack = np.array([r.s for r in resources_for_kind(kind, n, np.radians([30.0, 85.5, 90.0]))])
+    rng = np.random.default_rng(n)
+    for s in (stack[1], stack):
+        for qs in q_lists(n, target.k_max, 1 if s.ndim == 1 else len(s), rng):
+            got = list(_evaluate(target, s, qs, parity))
+            assert repr(got) == repr(list(per_q_rows(target, s, qs, parity)))
+
+
+def test_oracle_cases_cover_the_window_shapes():
+    lengths = {min(q, n) + 1 for _, n in ORACLE_CASES for q in range(2 * n)}
+    assert {7, 8, 9, 127, 128, 129} <= lengths
+    k_max = [coherent_coefficients(alpha).k_max for alpha in (0.5, 3.0, 12.0)]
+    pairs = [(k, n) for _, n in ORACLE_CASES for k in k_max]
+    assert any(k < n for k, n in pairs) and any(k > n for k, n in pairs)
+
+
+def test_bad_q_raises_before_the_rows_of_its_batch(unit_target, small_resource):
+    rows = _evaluate(unit_target, small_resource.s, [0, 1, -1], False)
+    with pytest.raises(DomainError, match="q must be a non-negative integer, got -1"):
+        next(rows)
+    with pytest.raises(DomainError):
+        list(_evaluate(unit_target, small_resource.s, [0, 1, -1], False))
+
+
+_REDUCEAT_CHECK = """
+import numpy as np
+rng = np.random.default_rng(1)
+bad = []
+for dtype in (np.float64, np.complex128):
+    for n in range(1, 2101):
+        x = rng.standard_normal((3, n)).astype(dtype)
+        if dtype is np.complex128:
+            x.imag = rng.standard_normal((3, n))
+        x[2, rng.random(n) < 0.5] *= 0.0  # mixed signed zeros among the values
+        if n % 7 == 0:
+            x[1] = -0.0
+        rows = np.zeros((3, n + 3), dtype)  # a zero, the window, junk
+        rows[:, 1:n + 1] = x
+        rows[:, n + 1:] = 7.0
+        flat = np.add.reduceat(rows[0], [0, n + 1])[0]
+        along = np.add.reduceat(rows, [0, n + 1], axis=-1)[:, 0]
+        if flat.tobytes() != np.add.reduce(x[0]).tobytes():
+            bad.append((dtype.__name__, n, "1-D"))
+        if along.tobytes() != np.add.reduce(x, -1).tobytes():
+            bad.append((dtype.__name__, n, "axis -1"))
+print(bad[:10])
+"""
+
+
+@pytest.mark.parametrize("cpu_features", [None, "X86_V4 AVX512_ICL AVX512_SPR"],
+                         ids=["default", "no-avx512"])
+def test_reduceat_from_a_leading_zero_has_the_bits_of_reduce(cpu_features):
+    # _evaluate's exactness rests on this property of numpy: reduceat copies a segment's
+    # first entry, a zero, and adds numpy's pairwise sum of the rest; reduce adds that same
+    # sum to its identity, 0.0.  A numpy for which this fails must fail here, by name.
+    env = dict(os.environ)
+    if cpu_features:
+        env["NPY_DISABLE_CPU_FEATURES"] = cpu_features  # unknown names are ignored
+    out = subprocess.run([sys.executable, "-c", _REDUCEAT_CHECK], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]", f"numpy {np.__version__}: {out}"
