@@ -16,7 +16,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import (DomainError, ImpossibleOutcomeError, SizeCapError, _check_count,
-                     _check_real, _check_unit_norm, _is_integer)
+                     _check_real, _check_unit_norm, _is_integer, _shown)
 from .quasi_epr import (FilterOrder, QuasiEprResource, _qualities, beta_q, filtered_input,
                         ideal_resource, phase_distribution)
 from .states import (RelativePhaseSpec, coherent_coefficients,
@@ -68,9 +68,9 @@ class SweepSpec:
     def validate(self):
         errors = []
         if self.resource_kind not in RESOURCE_KINDS:
-            errors.append(f"resource_kind: unknown kind {self.resource_kind!r}")
+            errors.append(f"resource_kind: unknown kind {_shown(self.resource_kind)}")
         if not _is_integer(self.N) or self.N < 1:
-            errors.append(f"N: must be a positive integer, got {self.N!r}")
+            errors.append(f"N: must be a positive integer, got {_shown(self.N)}")
         elif self.resource_kind in _KIND_LEVEL and self.N % 2 != _KIND_LEVEL[self.resource_kind] % 2:
             need = "odd" if _KIND_LEVEL[self.resource_kind] % 2 else "even"
             errors.append(f"N: resource {self.resource_kind!r} requires {need} N, got {self.N}")
@@ -89,11 +89,13 @@ class SweepSpec:
             # a generator would be used up here; an array compares elementwise to "all"
             qs = self.q_list if isinstance(self.q_list, (list, tuple, range)) else [None]
             if not all(map(_is_integer, qs)):
-                errors.append(f"q_list: must be 'all' or a list of integers, got {self.q_list!r}")
+                errors.append("q_list: must be 'all' or a list of integers, "
+                              f"got {_shown(self.q_list)}")
             elif any(q < 0 for q in qs):
                 errors.append("q_list: entries must be non-negative")
         if not isinstance(self.parity_correction, (bool, np.bool_)):
-            errors.append(f"parity_correction: must be a bool, got {self.parity_correction!r}")
+            errors.append("parity_correction: must be a bool, "
+                          f"got {_shown(self.parity_correction)}")
         if errors:
             raise ValueError("invalid sweep spec: " + "; ".join(errors))
 
@@ -145,7 +147,7 @@ def _grid_blocks(kind: str, N: int, betas):
     elif kind in _KIND_LEVEL:
         state = filtered_input(N, FilterOrder(_KIND_LEVEL[kind]))
     else:
-        raise DomainError(f"unknown resource kind {kind!r}")
+        raise DomainError(f"unknown resource kind {_shown(kind)}")
     block = max(1, LANE_BUDGET // (int(N) + 1))  # a numpy unsigned N would wrap in N + 1
     for lo in range(0, len(betas), block):
         angles = betas[lo:lo + block]
@@ -197,7 +199,7 @@ def find_beta_q_numeric(N: int, resource_kind: str = "j0",
     if resource_kind == "ideal":
         raise DomainError("the ideal resource does not depend on beta; it has no best angle")
     if objective not in ("min_modulus", "entropy", "min_fidelity_target"):
-        raise DomainError(f"unknown objective {objective!r}")
+        raise DomainError(f"unknown objective {_shown(objective)}")
     betas = BetaGrid(0.0, math.pi / 2, step).values()[1:]
     if len(betas) == 0:
         raise DomainError(f"step = {step} leaves no angle in (0, pi/2]" if step > 0.0

@@ -533,3 +533,17 @@ class TestFigureDatasets:
         assert "timestamp" in stamped.meta
         assert "timestamp" not in result.meta
         assert stamped.rows == result.rows
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: run_sweep(SweepSpec("j0", 10, BetaGrid(0.1, 0.2, 0.1), 1.0, [0.5] * 100000)),
+     ValueError),
+    (lambda: run_sweep(SweepSpec("x" * 100000, [3] * 100000, BetaGrid(0.1, 0.2, 0.1), 1.0,
+                                 "all", "y" * 100000)), ValueError),
+    (lambda: resources_for_kind("z" * 100000, 10, [0.1]), DomainError),
+    (lambda: find_beta_q_numeric(10, "j0", "y" * 100000), DomainError),
+], ids=["q_list", "kind-N-parity", "kind", "objective"])
+def test_refusals_of_long_values_are_short(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert len(str(info.value)) <= 300, str(info.value)[:400]
