@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from ._version import __version__
-from .errors import DomainError, _check_real
+from .errors import DomainError, _check_real, _shown
 from .quasi_epr import phase_distribution, resource_from_state
 from .states import coherent_coefficients
 from .su2 import SpinJ, SpinProjection, SpinState, basis_state, rotate_about_x
@@ -167,7 +167,7 @@ def _amplitude(entry) -> complex:
         except DomainError:
             pass
     raise DomainError(f"state file entries must be [re, im] pairs of finite numbers, "
-                      f"got {entry!r}")
+                      f"got {_shown(entry)}")
 
 
 def _load_state_file(path: str, n_total: int) -> SpinState:
@@ -232,7 +232,7 @@ def _parse_spec_text(text: str) -> dict:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ValueError(f"bad spec line (expected key=value): {line!r}")
+            raise ValueError(f"bad spec line (expected key=value): {_shown(line)}")
         key, _, val = line.partition("=")
         values[key.strip()] = val.strip()
     if not values:
@@ -255,7 +255,8 @@ def _spec_number(value, key: str, integer: bool = False):
             return int(value) if integer else float(value)
         except (ValueError, OverflowError):
             pass
-    raise ValueError(f"{key}: expected {'an integer' if integer else 'a number'}, got {value!r}")
+    raise ValueError(f"{key}: expected {'an integer' if integer else 'a number'}, "
+                     f"got {_shown(value)}")
 
 
 def _spec_from_mapping(raw: dict) -> SweepSpec:
@@ -273,12 +274,12 @@ def _spec_from_mapping(raw: dict) -> SweepSpec:
         if isinstance(q_list, str):
             q_list = [tok for tok in q_list.split(",") if tok.strip()]
         if not isinstance(q_list, list):
-            raise ValueError(f"q_list: expected 'all' or a list of integers, got {q_list!r}")
+            raise ValueError(f"q_list: expected 'all' or a list of integers, got {_shown(q_list)}")
         q_list = [_spec_number(q, "q_list", integer=True) for q in q_list]
     corr = _BOOLEANS.get(str(raw.get("parity_correction", False)).lower())
     if corr is None:
         raise ValueError(f"parity_correction: expected a JSON boolean or one of "
-                         f"{', '.join(_BOOLEANS)}, got {raw['parity_correction']!r}")
+                         f"{', '.join(_BOOLEANS)}, got {_shown(raw['parity_correction'])}")
     start = _spec_number(raw.get("beta_start_deg", 45.0), "beta_start_deg")
     stop = _spec_number(raw.get("beta_stop_deg", 90.0), "beta_stop_deg")
     step = _spec_number(raw.get("beta_step_deg", 0.5), "beta_step_deg")
@@ -303,7 +304,7 @@ def _precision(text: str) -> int:
     except ValueError:
         value = 0
     if not 1 <= value <= 17:
-        raise argparse.ArgumentTypeError(f"must be an integer in 1..17, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be an integer in 1..17, got {_shown(text)}")
     return value
 
 

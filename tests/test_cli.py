@@ -607,3 +607,14 @@ class TestTopLevel:
             out, err = proc.communicate(timeout=60)
             assert got == (proc.returncode, out, err), argv
         assert [code for code, _, _ in together] == [0, 2, 0, 2, 0]
+
+
+@pytest.mark.parametrize("text", ["x" * 100000 + "\n",
+                                  "n = " + "1" * 100000 + ".5\nresource_kind = j0\n"],
+                         ids=["no-equals", "long-number"])
+def test_long_spec_values_give_short_usage_errors(capsys, tmp_path, text):
+    path = tmp_path / "spec.txt"
+    path.write_text(text)
+    code, _, err = run_cli(capsys, ["sweep", "--spec-file", str(path)])
+    assert code == 2
+    assert len(err) <= 300, err[:400]
