@@ -118,45 +118,41 @@ def _evaluate(target: CoherentTarget, s: np.ndarray, qs, apply_parity_correction
     if apply_parity_correction:
         # c_k^2 times the parity phase for q % 2 = 0, 1 (columns), pairing k = 2i, 2i+1; a
         # phase of 1 or +-i multiplies exactly, so its place in the product does not change F
-        c2_phase = _starts((c2.reshape(-1, 2, 1) * _PARITY_PHASES.T).reshape(-1, 2), J)
+        c2_phase = _starts((c2.reshape(-1, 2, 1) * _PARITY_PHASES).reshape(-1, 2), J)
     c2 = _starts(c2, J)
-    one = s.ndim == 1
-    cap = max(1, _BATCH // (B * (N + 2)))  # N + 2: the longest row, 0.0 and a window
+    one, size = s.ndim == 1, N + 2  # a row: 0.0, the longest window and one more
+    cap = max(1, _BATCH // (B * size))
     qs = iter(qs)
     real = None
     while batch := [q if type(q) is int and q >= 0 else _check_count(q, "q", 0)
                     for q in itertools.islice(qs, cap)]:
         live = [q for q in batch if q <= N + k_max]
         if live and real is None:
-            # room for the rows of P and of the numerator (a column per resource row) of as
-            # many q as this first batch holds (no later one holds more); zero but where a
-            # batch writes, and it zeroes what it wrote when done
-            real = np.zeros((len(batch) * (N + 2), B))
-            cplx = np.zeros((len(batch) * (N + 2), B), s_rev.dtype)
+            # a row of P and of the numerator per q (a column per resource row), as many as
+            # this first batch holds (no later one holds more); every batch writes all of
+            # columns 1..J of its rows, so past them every window stays zero
+            real = np.zeros((len(batch) * size, B))
+            cplx = np.zeros((len(batch) * size, B), s_rev.dtype)
+            products = [a.reshape(-1, size, B)[:, 1:J + 1] for a in (real, cplx)]
+            starts = np.arange(0, len(batch) * size, size).repeat(2)
         if live:
             q = np.array(live)
             shift = q - N
             k0 = np.maximum(shift, 0)
             lo = k0 - shift  # s_{q-k0} in s_rev
             cut = np.maximum(q - k_max, 0)  # the window's k past k_max
-            # a row per q: 0.0, the window, junk up to the batch's longest window
-            size = min(max(live), N) + 2
-            width = min(J, size - 1)
-            rows = [a[:len(q) * size].reshape(len(q), size, B)[:, 1:width + 1]
-                    for a in (real, cplx)]
             # each row's start and its window's end, in turn, first the bound's, k = k0..q-cut;
             # a sum runs up to the last window's end, which so needs no index of its own
-            ends = np.arange(0, len(q) * size, size).repeat(2)
+            ends = starts[:2 * len(q)].copy()
             ends[1::2] += N + 2 - lo - cut
-            rows[0][...] = c2[k0, :width, None]
+            products[0][:len(q)] = c2[k0, :, None]
             bound = np.add.reduceat(real[:ends[-1], 0], ends[:-1])[::2]
-            rows[0] *= s2_rev[lo, :width]
+            products[0][:len(q)] *= s2_rev[lo]
             ends[1::2] += cut
             p = np.add.reduceat(real[:ends[-1]], ends[:-1], axis=0)[::2]
-            w = c2_phase[k0, :width, q & 1] if apply_parity_correction else c2[k0, :width]
-            np.multiply(w[:, :, None], s_rev[lo, :width], out=rows[1])
+            w = c2_phase[k0, :, q & 1] if apply_parity_correction else c2[k0]
+            np.multiply(w[:, :, None], s_rev[lo], out=products[1][:len(q)])
             num = np.add.reduceat(cplx[:ends[-1]], ends[:-1], axis=0)[::2]
-            rows[0][...] = rows[1][...] = 0.0
             sums = iter(zip(bound.tolist(), p.tolist(), num.tolist()))
         for q in batch:
             if q > N + k_max:
@@ -241,8 +237,8 @@ def _parity_factors(ks: np.ndarray, q: int) -> np.ndarray:
     return 1j ** powers if q % 2 == 0 else (-1j) ** powers
 
 
-# _parity_factors for q % 2 = 0, 1 (rows) at k % 2 = 0, 1: it depends on k through k^2 % 4
-_PARITY_PHASES = np.stack([_parity_factors(np.arange(2), odd) for odd in (0, 1)])
+# _parity_factors at k % 2 = 0, 1 (rows; it depends on k through k^2 % 4) for q % 2 = 0, 1
+_PARITY_PHASES = np.stack([_parity_factors(np.arange(2), odd) for odd in (0, 1)], axis=1)
 
 
 def fidelity(target: CoherentTarget, resource: QuasiEprResource, q: int,
