@@ -120,7 +120,7 @@ def _evaluate(target: CoherentTarget, s: np.ndarray, qs, apply_parity_correction
         # phase of 1 or +-i multiplies exactly, so its place in the product does not change F
         c2_phase = _starts((c2.reshape(-1, 2, 1) * _PARITY_PHASES).reshape(-1, 2), J)
     c2 = _starts(c2, J)
-    one, size = s.ndim == 1, N + 2  # a row: 0.0, the longest window and one more
+    one, size = s.ndim == 1, N + 2  # a row: 0.0, then the longest window
     cap = max(1, _BATCH // (B * size))
     qs = iter(qs)
     real = None
