@@ -34,6 +34,8 @@ from .teleport import _evaluate, _mean_fidelity
 # %g text of a non-finite float -> what json writes for it
 _JSON_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
+_MISSING = object()  # a cell past the end of a short row; no table cell is a bare object
+
 
 class _RowRenderer:
     """Renders table rows a block at a time through one % template per tuple of cell types.
@@ -46,9 +48,9 @@ class _RowRenderer:
 
     A block of up to BLOCK_ROWS rows is written by one %.  Its template is the
     row template of each run of rows with one tuple of cell types, repeated
-    once per row of the run; a block whose rows differ in length is split
-    into runs of one length first.  The cell types are read per column, and
-    per row only where a run starts.
+    once per row of the run.  The cell types are read per column, a short
+    row's missing cells as the type of _MISSING, so a run also ends where the
+    row length changes; they are read per row only where a run starts.
     """
 
     BLOCK_ROWS = 1024
@@ -67,15 +69,16 @@ class _RowRenderer:
 
     def _render(self, block: list) -> str:
         """The text of a non-empty list of row tuples, by one %."""
-        lengths = list(map(len, block))
-        if lengths.count(lengths[0]) != len(block):
-            runs = _runs(len(block), [lengths])
-            return self.sep.join([self._render(block[a:b]) for a, b in runs])
-        columns = list(zip(*block))
-        types = [list(map(type, column)) for column in columns]
-        mixed = [kinds for kinds in types if kinds.count(kinds[0]) != len(kinds)]
+        columns = list(itertools.zip_longest(*block, fillvalue=_MISSING))
+        cuts = {0, len(block)}  # a run ends where the cell type of any column changes
+        for column in columns:
+            kinds = list(map(type, column))
+            if kinds.count(kinds[0]) != len(kinds):
+                changes = map(operator.ne, kinds, kinds[1:])
+                cuts.update(itertools.compress(itertools.count(1), changes))
+        cuts = sorted(cuts)
         templates, args = [], []
-        for a, b in _runs(len(block), mixed):
+        for a, b in zip(cuts, cuts[1:]):
             key = tuple(map(type, block[a]))
             if key not in self.templates:
                 self.templates[key] = self._build(key)
@@ -110,15 +113,6 @@ class _RowRenderer:
             return zip(*[map(convert, columns[i]) for i, convert in cells])
 
         return template, fill
-
-
-def _runs(count: int, keys: list):
-    """(start, stop) of each run of rows over which every list in keys holds one value."""
-    cuts = {0, count}
-    for values in keys:
-        cuts.update(itertools.compress(itertools.count(1), map(operator.ne, values, values[1:])))
-    cuts = sorted(cuts)
-    return zip(cuts, cuts[1:])
 
 
 def write_csv(stream, columns, rows, precision: int):
@@ -171,8 +165,11 @@ def _amplitude(entry) -> complex:
 
 
 def _load_state_file(path: str, n_total: int) -> SpinState:
-    with open(path) as fh:
-        data = json.load(fh)
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except RecursionError:
+        raise ValueError("state file is JSON nested too deeply to parse") from None
     if not isinstance(data, list):
         raise DomainError("state file must hold a JSON list of [re, im] pairs")
     amps = np.array([_amplitude(entry) for entry in data], dtype=complex)
@@ -225,7 +222,10 @@ def _parse_spec_text(text: str) -> dict:
     if not text:
         raise ValueError("spec file is empty")
     if text.startswith("{"):
-        return json.loads(text)
+        try:
+            return json.loads(text)
+        except RecursionError:
+            raise ValueError("spec file is JSON nested too deeply to parse") from None
     values = {}
     for line in text.splitlines():
         line = line.strip()
@@ -261,11 +261,10 @@ def _spec_number(value, key: str, integer: bool = False):
 
 def _spec_from_mapping(raw: dict) -> SweepSpec:
     unknown = sorted(set(raw) - set(_SWEEP_KEYS))
-    if unknown:
-        raise ValueError(
-            "unknown spec keys: %s (valid keys: %s)"
-            % (", ".join(unknown), ", ".join(_SWEEP_KEYS))
-        )
+    if unknown:  # a few names, each cut to 40 characters, and the count of the rest
+        names = ", ".join(key if len(key) <= 40 else key[:37] + "..." for key in unknown[:5])
+        more = f" and {len(unknown) - 5} more" if len(unknown) > 5 else ""
+        raise ValueError(f"unknown spec keys: {names}{more} (valid keys: {', '.join(_SWEEP_KEYS)})")
     kind = raw.get("resource_kind")
     if kind is None:
         raise ValueError("resource_kind: missing")

@@ -371,8 +371,6 @@ def _columns(tj: int, tms, betas) -> np.ndarray:
     shape = (len(betas), len(tms), tj + 1)
     # beta = +-0.0 is the only finite double with sin(beta) = 0: d(0) is the identity
     turning = [b for b, beta in enumerate(betas) if beta != 0.0]
-    if len(turning) == len(betas):
-        return _recurrence_columns(tj, tms, betas).reshape(shape)
     out = np.zeros(shape)
     out[:, np.arange(len(tms)), (tj + tms) // 2] = 1.0
     if turning:

@@ -11,7 +11,6 @@ evaluated directly from the collapsed amplitudes.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -102,8 +101,8 @@ def _evaluate(target: CoherentTarget, s: np.ndarray, qs, apply_parity_correction
     that same sum to 0.0, so a segment from the 0.0 to the window's end has
     the bits of np.add.reduce over the window alone; the segments over the
     junk are dropped.  Only the products up to k_max are formed; past them a
-    window keeps its zeros.  qs is read a batch at a time, so a bad q raises
-    before the earlier rows of its batch are yielded.
+    window keeps its zeros.  qs, a range, list or tuple, is read a batch at a
+    time, so a bad q raises before the earlier rows of its batch are yielded.
     """
     N, k_max = s.shape[-1] - 1, target.k_max
     stack = s.reshape(-1, N + 1)
@@ -122,19 +121,16 @@ def _evaluate(target: CoherentTarget, s: np.ndarray, qs, apply_parity_correction
     c2 = _starts(c2, J)
     one, size = s.ndim == 1, N + 2  # a row: 0.0, then the longest window
     cap = max(1, _BATCH // (B * size))
-    qs = iter(qs)
-    real = None
-    while batch := [q if type(q) is int and q >= 0 else _check_count(q, "q", 0)
-                    for q in itertools.islice(qs, cap)]:
+    # a row of P and of the numerator per q of a batch (a column per resource row); every
+    # batch writes all of columns 1..J of its rows, so past them every window stays zero
+    real = np.zeros((min(cap, len(qs)) * size, B))
+    cplx = np.zeros(real.shape, s_rev.dtype)
+    products = [a.reshape(-1, size, B)[:, 1:J + 1] for a in (real, cplx)]
+    starts = np.arange(0, len(real), size).repeat(2)
+    for first in range(0, len(qs), cap):
+        batch = [q if type(q) is int and q >= 0 else _check_count(q, "q", 0)
+                 for q in qs[first:first + cap]]
         live = [q for q in batch if q <= N + k_max]
-        if live and real is None:
-            # a row of P and of the numerator per q (a column per resource row), as many as
-            # this first batch holds (no later one holds more); every batch writes all of
-            # columns 1..J of its rows, so past them every window stays zero
-            real = np.zeros((len(batch) * size, B))
-            cplx = np.zeros((len(batch) * size, B), s_rev.dtype)
-            products = [a.reshape(-1, size, B)[:, 1:J + 1] for a in (real, cplx)]
-            starts = np.arange(0, len(batch) * size, size).repeat(2)
         if live:
             q = np.array(live)
             shift = q - N
@@ -261,10 +257,7 @@ def fidelity_bound(target: CoherentTarget, q: int, N: int) -> float:
     """Partial target mass sum_{k0..q} |c_k|^2; F(q) never exceeds it."""
     q, N = _check_count(q, "q", 0), _check_count(N, "N", 1)
     k0 = max(0, q - N)
-    hi = min(q, target.k_max)
-    if hi < k0:
-        return 0.0
-    return float(np.sum(target.weights()[k0:hi + 1]))
+    return float(np.sum(target.weights()[k0:min(q, target.k_max) + 1]))
 
 
 def average_fidelity(target: CoherentTarget, resource: QuasiEprResource,

@@ -618,3 +618,28 @@ def test_long_spec_values_give_short_usage_errors(capsys, tmp_path, text):
     code, _, err = run_cli(capsys, ["sweep", "--spec-file", str(path)])
     assert code == 2
     assert len(err) <= 300, err[:400]
+
+
+@pytest.mark.parametrize("command, content, kind", [
+    (["rotate", "--n", "2", "--beta-deg", "10", "--input-state-file"],
+     "[" * 100000 + "]" * 100000, "state file"),
+    (["sweep", "--spec-file"], '{"n": ' * 100000 + "1" + "}" * 100000, "spec file"),
+], ids=["state-file", "spec-file"])
+def test_deeply_nested_json_is_usage_error(capsys, tmp_path, command, content, kind):
+    path = tmp_path / "nested.json"
+    path.write_text(content)
+    code, out, err = run_cli(capsys, [*command, str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and kind in err, err
+
+
+@pytest.mark.parametrize("spec", [{f"key{i}": 1 for i in range(20000)}, {"k" * 100000: 1}],
+                         ids=["many-keys", "long-key"])
+def test_unknown_spec_keys_give_short_usage_errors(capsys, tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"resource_kind": "j0", "n": 10, **spec}))
+    code, _, err = run_cli(capsys, ["sweep", "--spec-file", str(path)])
+    assert code == 2
+    assert "unknown spec keys: " in err and "q_list" in err
+    assert len(err.encode()) < 500, err[:600]

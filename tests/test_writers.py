@@ -137,6 +137,8 @@ BLOCK_TABLES = {
         (str(i), i, None, True) for i in range(B + 1)]),
     "ragged row inside a block": (COLUMNS, _with(_uniform(B + 5),
                                                  {500: (1.5, 2), 501: (1, 2, 3, 4, 5)})),
+    "row length changes at the block edge": (COLUMNS, _uniform(B - 1) + [(B - 1, 0.5, None)] + [
+        (i, 0.25, i / 3, 1.5, "extra") for i in range(B, B + 3)]),
     "None cell inside a block": (COLUMNS, _with(_uniform(B + 5), {7: (7, None, 1.0, 0.5)})),
     "types alternate every row": (COLUMNS, [(i, None, "%d" % i, 0.5) if i % 2 else
                                             (i, 0.25, i, True) for i in range(B + 2)]),
