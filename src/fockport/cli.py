@@ -57,6 +57,7 @@ class _RowRenderer:
 
     def __init__(self, precision: int, keys=None):
         self.g = "%%.%dg" % precision
+        self.floats, self.short = self.g + ",", precision <= 15
         self.keys = keys
         self.sep = "" if keys is None else ",\n    "
         self.templates = {}
@@ -93,6 +94,19 @@ class _RowRenderer:
         text = self.g % value
         return _JSON_NON_FINITE.get(text) or repr(float(text))
 
+    def _numbers(self, column) -> list:
+        """_number of each float of a column tuple, by one % where every text is its own repr.
+
+        A %g text of at most 15 digits is the shortest for its double unless that is subnormal,
+        and repr writes it as %g does but for e+ and the .0 of an integral text.  A column whose
+        text holds e+, e-3 (every subnormal's), inf or nan, or of 16-17 digits, goes cell by cell.
+        """
+        if self.short:
+            text = self.floats * len(column) % column
+            if "e+" not in text and "e-3" not in text and "n" not in text:
+                return [t if "." in t or "e" in t else t + ".0" for t in text[:-1].split(",")]
+        return list(map(self._number, column))
+
     def _build(self, types):
         """(template, fill): fill maps a run's columns to its rows of arguments; None for CSV."""
         kinds = [None if t is type(None) else int if issubclass(t, (int, np.integer)) else
@@ -102,15 +116,16 @@ class _RowRenderer:
             slots = {None: "%.0s", int: "%d", float: self.g, str: "%s", object: "%s"}
             return ",".join(slots[kind] for kind in kinds) + "\n", None
         kinds = kinds[:len(self.keys)]
-        to_text = {int: "%d".__mod__, str: encode_basestring_ascii,
-                   float: self._number, object: self._number}
+        to_text = {int: functools.partial(map, "%d".__mod__),
+                   str: functools.partial(map, encode_basestring_ascii),
+                   float: self._numbers, object: functools.partial(map, self._number)}
         items = [encode_basestring_ascii(key).replace("%", "%%") + (": %s" if kind else ": null")
                  for key, kind in zip(self.keys, kinds)]
         template = "{\n      " + ",\n      ".join(items) + "\n    }" if items else "{}"
         cells = [(i, to_text[kind]) for i, kind in enumerate(kinds) if kind]
 
         def fill(columns):
-            return zip(*[map(convert, columns[i]) for i, convert in cells])
+            return zip(*[convert(columns[i]) for i, convert in cells])
 
         return template, fill
 
@@ -164,12 +179,20 @@ def _amplitude(entry) -> complex:
                       f"got {_shown(entry)}")
 
 
+def _parsed(path: str, kind: str, parse):
+    """parse(text of the file at path); text that is not UTF-8 or not parsable is a usage error
+    that names the file's kind and path."""
+    with open(path) as fh:
+        try:
+            return parse(fh.read())
+        except RecursionError:
+            raise ValueError(f"{kind} {_shown(path)} is JSON nested too deeply to parse") from None
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"{kind} {_shown(path)} cannot be parsed: {exc}") from None
+
+
 def _load_state_file(path: str, n_total: int) -> SpinState:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except RecursionError:
-        raise ValueError("state file is JSON nested too deeply to parse") from None
+    data = _parsed(path, "state file", json.loads)
     if not isinstance(data, list):
         raise DomainError("state file must hold a JSON list of [re, im] pairs")
     amps = np.array([_amplitude(entry) for entry in data], dtype=complex)
@@ -222,10 +245,7 @@ def _parse_spec_text(text: str) -> dict:
     if not text:
         raise ValueError("spec file is empty")
     if text.startswith("{"):
-        try:
-            return json.loads(text)
-        except RecursionError:
-            raise ValueError("spec file is JSON nested too deeply to parse") from None
+        return json.loads(text)
     values = {}
     for line in text.splitlines():
         line = line.strip()
@@ -291,9 +311,7 @@ def _spec_from_mapping(raw: dict) -> SweepSpec:
 
 
 def cmd_sweep(args) -> int:
-    with open(args.spec_file) as fh:
-        text = fh.read()
-    spec = _spec_from_mapping(_parse_spec_text(text))
+    spec = _spec_from_mapping(_parsed(args.spec_file, "spec file", _parse_spec_text))
     return _emit(args, run_sweep(spec))
 
 

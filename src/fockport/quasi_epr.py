@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, _check_count, _check_real, _set_vector
-from .su2 import SpinJ, SpinProjection, SpinState, _rotated, basis_state, wigner_d_column
+from .su2 import (SpinJ, SpinProjection, SpinState, _check_projection, _column_blocks, _rotated,
+                  basis_state)
 
 _ZERO_TOL = 1e-12
 
@@ -67,18 +68,23 @@ class EprQualityReport:
 
 def f_coefficient(j: SpinJ, m_out: SpinProjection, beta: float = math.pi / 2,
                   phi0: float = 0.0) -> complex:
-    """f^j_{m'} = sum_m e^{i m (phi0 + pi/2)} d^j_{m'm}(beta).
+    """f^j_{m'} = sum_m e^{i m (phi0 + pi/2)} d^j_{m'm}(beta)."""
+    _check_projection(j, m_out, "m_out")
+    return _f_coefficients(j.twice_j, np.array([m_out.twice_m]), _check_real(beta, "beta"), phi0)[0]
 
-    Computed from a single column via d^j_{m'm} = (-1)^{m'-m} d^j_{mm'}.
+
+def _f_coefficients(tj: int, tmps: np.ndarray, beta: float, phi0: float) -> list:
+    """f^j_{m'} for each doubled m' of tmps, by one kernel call while the columns fit in
+    su2.LANE_BUDGET (four up to twice_j = 8191), else by one per block of them.
+
+    Row k of the columns is d^j_{m, m'_k} over m; d^j_{m'm} = (-1)^{m'-m} d^j_{mm'}.
     """
-    tj = j.twice_j
-    tmp = m_out.twice_m
-    col = wigner_d_column(j, m_out, beta).values  # col[i] = d^j_{m_i, m'}
+    cols = np.concatenate([c[0] for _, _, c in _column_blocks(tj, tmps, [beta])])
     tms = np.arange(tj + 1) * 2 - tj
-    signs = (-1.0) ** (((tmp - tms) // 2) % 2)
+    signs = (-1.0) ** (((tmps[:, None] - tms) // 2) % 2)
     chi = _check_real(phi0, "phi0", times=tj / 2.0) + math.pi / 2.0
     phases = np.exp(1j * chi * (tms / 2.0))
-    return complex(np.sum(phases * signs * col))
+    return [complex(np.sum(row)) for row in phases * signs * cols]
 
 
 def filtered_input(N: int, order: FilterOrder) -> SpinState:
@@ -104,10 +110,9 @@ def filtered_input(N: int, order: FilterOrder) -> SpinState:
         amps[(N + 1) // 2] = 1.0 / math.sqrt(2.0)
         return SpinState(j, amps)
     # f-weighted combinations over m = -mu..mu in integer steps
-    kept = range(-order.twice_level, order.twice_level + 1, 2)
+    kept = np.arange(-order.twice_level, order.twice_level + 1, 2)
     amps = np.zeros(N + 1, dtype=complex)
-    for tm in kept:
-        amps[(tm + N) // 2] = f_coefficient(j, SpinProjection(tm))
+    amps[(kept + N) // 2] = _f_coefficients(N, kept, math.pi / 2.0, 0.0)
     amps /= np.linalg.norm(amps)
     return SpinState(j, amps)
 

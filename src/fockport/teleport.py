@@ -149,15 +149,16 @@ def _evaluate(target: CoherentTarget, s: np.ndarray, qs, apply_parity_correction
             w = c2_phase[k0, :, q & 1] if apply_parity_correction else c2[k0]
             np.multiply(w[:, :, None], s_rev[lo], out=products[1][:len(q)])
             num = np.add.reduceat(cplx[:ends[-1]], ends[:-1], axis=0)[::2]
-            sums = iter(zip(bound.tolist(), p.tolist(), num.tolist()))
-        for q in batch:
-            if q > N + k_max:
-                yield (q, None, 0.0, 0.0) if one else (q, [None] * B, 0.0, [0.0] * B)
-                continue
-            bound, p, num = next(sums)
+            p = p.ravel().tolist()
             # F = |num|^2 / P; Python's complex abs and float ** use libm's hypot and pow
-            f = [None if pb <= 0.0 else abs(z) ** 2 / pb for z, pb in zip(num, p)]
-            yield (q, f[0], bound, p[0]) if one else (q, f, bound, p)
+            f = [None if pb <= 0.0 else abs(z) ** 2 / pb for z, pb in zip(num.ravel().tolist(), p)]
+            if not one:  # F and P as a list over the resource rows per q
+                f, p = ([x[i:i + B] for i in range(0, len(x), B)] for x in (f, p))
+            rows = zip(live, f, bound.tolist(), p)
+        if len(live) < len(batch):  # each unreachable q's row in its place among the others
+            rows = [next(rows) if q <= N + k_max else (q, None, 0.0, 0.0) if one else
+                    (q, [None] * B, 0.0, [0.0] * B) for q in batch]
+        yield from rows
 
 
 def _starts(a: np.ndarray, width: int) -> np.ndarray:

@@ -14,6 +14,7 @@ import fockport
 from fockport import (RESOURCE_KINDS, SpinJ, SpinProjection, average_fidelity,
                       coherent_coefficients, evaluate_all, resource_for_kind, wigner_d_column)
 from fockport.cli import main
+from fockport.errors import _shown
 
 SPEC_TEXT = """\
 resource_kind = j0
@@ -643,3 +644,18 @@ def test_unknown_spec_keys_give_short_usage_errors(capsys, tmp_path, spec):
     assert code == 2
     assert "unknown spec keys: " in err and "q_list" in err
     assert len(err.encode()) < 500, err[:600]
+
+
+@pytest.mark.parametrize("command, kind", [
+    (["rotate", "--n", "2", "--beta-deg", "10", "--input-state-file"], "state file"),
+    (["sweep", "--spec-file"], "spec file"),
+], ids=["state-file", "spec-file"])
+@pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe"], ids=["not-json", "not-utf8"])
+def test_unparsable_file_is_usage_error_naming_it(capsys, tmp_path, command, kind, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, [*command, str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"fockport: error: {kind} {_shown(str(path))} cannot be parsed: "), err
+    assert err.count("\n") == 1, err

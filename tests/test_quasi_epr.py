@@ -80,6 +80,18 @@ class TestFilteredInput:
         with pytest.raises(DomainError):
             filtered_input(1, FilterOrder(3))
 
+    # levels 1 and 3/2 take their f-coefficients from one kernel call; each must have the bits
+    # of f_coefficient at its own m
+    @pytest.mark.parametrize("N", [6, 7, 8, 9, 10, 126, 127, 128, 129, 130, 2001, 20000])
+    def test_higher_levels_are_the_per_m_f_coefficients(self, N):
+        twice_level = 3 if N % 2 else 2
+        amps = np.zeros(N + 1, dtype=complex)
+        for tm in range(-twice_level, twice_level + 1, 2):
+            amps[(tm + N) // 2] = f_coefficient(SpinJ(N), SpinProjection(tm))
+        amps /= np.linalg.norm(amps)
+        got = filtered_input(N, FilterOrder(twice_level)).amplitudes
+        assert got.tobytes() == amps.tobytes()
+
 
 class TestFCoefficient:
     def test_frozen_central_values(self):
@@ -90,6 +102,14 @@ class TestFCoefficient:
         assert abs(f0.imag) < 1e-12
         assert f1.imag == pytest.approx(-2.2227289420650274, abs=1e-12)
         assert abs(f1.real) < 1e-12
+
+    @pytest.mark.parametrize("twice_j, twice_m_out, beta, phi0, want", [
+        (21, -3, 1.1, 0.4, 0.8741469436406387 + 0.5829875119332595j),
+        (200, 4, 2.3, -1.25, 0.5495440496822896 + 0.6228085668440325j),
+    ])
+    def test_frozen_bits_off_the_default_angles(self, twice_j, twice_m_out, beta, phi0, want):
+        got = f_coefficient(SpinJ(twice_j), SpinProjection(twice_m_out), beta, phi0)
+        assert (got.real, got.imag) == (want.real, want.imag)
 
     @pytest.mark.parametrize("twice_j", [4, 9, 20])
     def test_total_weight_is_dimension(self, twice_j):

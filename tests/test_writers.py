@@ -161,3 +161,72 @@ def test_blocks_match_reference(table, fmt, precision):
         write_json(got, META, columns, iter(rows), precision)
         reference_write_json(want, META, columns, rows, precision)
     assert got.getvalue() == want.getvalue()
+
+
+# JSON float columns are converted a column at a time where every %g text is its own repr
+# (cli._RowRenderer._numbers), else cell by cell.  These columns mix both kinds of text.
+SPECIAL_FLOATS = [5e-324, 2.5e-308, 1e-300, -0.0, 1e14, 1e15, 9.99999999999e15, 1e16,
+                  math.inf, math.nan]
+SPECIAL_COLUMNS = tuple(f"c{i}" for i in range(len(SPECIAL_FLOATS)))
+COLUMN_TABLES = {
+    "special floats alone": (SPECIAL_COLUMNS, [tuple(SPECIAL_FLOATS)]),
+    "special floats among plain ones": (SPECIAL_COLUMNS, [
+        tuple(0.5 + i for i in range(len(SPECIAL_FLOATS))), tuple(SPECIAL_FLOATS),
+        tuple(-v for v in SPECIAL_FLOATS),
+        tuple(1.0 / (i + 3) for i in range(len(SPECIAL_FLOATS)))]),
+    "one e+ cell": (("q", "x"), [(i, 1e20 if i == 25 else 0.1 * i) for i in range(50)]),
+}
+
+
+@pytest.mark.parametrize("precision", [1, 12, 15, 16, 17])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("table", sorted(COLUMN_TABLES))
+def test_float_columns_match_reference(table, fmt, precision):
+    columns, rows = COLUMN_TABLES[table]
+    got, want = io.StringIO(), io.StringIO()
+    if fmt == "csv":
+        write_csv(got, columns, rows, precision)
+        reference_write_csv(want, columns, rows, precision)
+    else:
+        write_json(got, META, columns, rows, precision)
+        reference_write_json(want, META, columns, rows, precision)
+    assert got.getvalue() == want.getvalue()
+
+
+def _families(rng, count):
+    """count floats of every magnitude the writers meet, a family at a time: uniform, near 1,
+    powers of ten from 1e-307 to 1e16 with and without a mantissa, integral."""
+    part = count // 5
+    tens, digits = rng.integers(-307, 17, part), rng.integers(0, 17, count - 4 * part)
+    return np.concatenate([
+        rng.uniform(-1e3, 1e3, part),
+        1.0 + rng.uniform(-1.0, 1.0, part) * 10.0 ** -rng.integers(1, 17, part),
+        rng.uniform(1.0, 10.0, part) * 10.0 ** tens,
+        [float(f"1e{t}") for t in tens],
+        np.rint(rng.uniform(-1.0, 1.0, len(digits)) * 10.0 ** digits),
+    ])
+
+
+def _mixed_floats(count, seed=20240611):
+    """Half of count floats a family at a time, half with the families shuffled together."""
+    rng = np.random.default_rng(seed)
+    shuffled = rng.permutation(_families(rng, count - count // 2))
+    return _families(rng, count // 2).tolist() + shuffled.tolist()
+
+
+@pytest.mark.parametrize("precision", range(1, 18))
+def test_column_conversion_matches_cells(precision):
+    # columns of 1 to 64 cells, as runs of a block give them; each is converted at once
+    renderer = _RowRenderer(precision, COLUMNS)
+    values = _mixed_floats(20000)
+    rng = np.random.default_rng(precision)
+    at_once = 0
+    first = 0
+    while first < len(values):
+        column = tuple(values[first:first + int(rng.integers(1, 65))])
+        first += len(column)
+        assert renderer._numbers(column) == [renderer._number(v) for v in column], column
+        text = "".join(renderer.g % v for v in column)
+        at_once += precision <= 15 and not any(s in text for s in ("e+", "e-3", "n"))
+    # the column conversion itself, not only its per-cell fallback, must have been checked
+    assert at_once > 0 if precision <= 15 else at_once == 0
