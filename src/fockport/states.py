@@ -117,6 +117,27 @@ class CoherentTarget:
         return self.coeffs ** 2
 
 
+def _first_normal_weight(mean: float) -> tuple:
+    """(k, p_k) for the first Poisson weight p_k = e^{-mean} mean^k / k! that is a normal float.
+
+    e^{-mean} is subnormal or zero for mean above ~708.4 (alpha above ~26.6); the
+    sum then starts at a weight found in log space, and each weight skipped is
+    below 1e-307.  The log weight rises with k up to the mode, so a bisection
+    below it lands on the first such k, as a scan up from k = 0 does.
+    """
+    def weight(k):
+        return math.exp(k * math.log(mean) - mean - math.lgamma(k + 1.0))
+
+    p = math.exp(-mean)
+    if p >= sys.float_info.min:
+        return 0, p
+    lo, hi = 0, math.ceil(mean)  # p_lo is below the normal range, p_hi near the mode
+    while hi - lo > 1:
+        k = (lo + hi) // 2
+        lo, hi = (k, hi) if weight(k) < sys.float_info.min else (lo, k)
+    return hi, weight(hi)
+
+
 def coherent_coefficients(alpha: float, tail_tol: float = 1e-12) -> CoherentTarget:
     """Coherent-state coefficient vector truncated at tail mass < tail_tol."""
     alpha = _check_real(alpha, "alpha", 0)
@@ -129,14 +150,7 @@ def coherent_coefficients(alpha: float, tail_tol: float = 1e-12) -> CoherentTarg
     mean = alpha * alpha
     if mean > 10000:  # k_max >= mean
         raise DomainError(f"alpha = {alpha} needs more than 10000 coherent terms")
-    k = 0
-    p = math.exp(-mean)
-    while p < sys.float_info.min:
-        # e^{-a^2} is subnormal or zero (a above ~26.6): start the sum at the
-        # first weight that is a normal float, found in log space; each weight
-        # skipped is below 1e-307
-        k += 1
-        p = math.exp(k * math.log(mean) - mean - math.lgamma(k + 1.0))
+    k, p = _first_normal_weight(mean)
     # a log-space start passes its rounding (7e-12 relative at alpha = 80) to
     # every weight, so judge the tail, summed from its small end, against the
     # summed mass; weights below 1e-6 tail_tol past the mode are dropped

@@ -15,6 +15,7 @@ half-integer values are exact integers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from array import array
 from dataclasses import dataclass
@@ -30,10 +31,11 @@ _BIG = 1e250
 _LOGBIG = math.log(_BIG)
 _TINY = 1.0 / _BIG
 
-# The column kernel advances a batch of lanes, one lane per (twice_m, beta)
-# column of a fixed twice_j.  LANE_BUDGET caps lanes x column length per
-# kernel call.  Below _SCALAR_LANES lanes each lane runs alone in Python
-# floats, to its glue window.  From 16 lanes one numpy call per step wins
+# The column kernel advances a batch of recurrence rows, one row per twice_m
+# and beta, for the (twice_m, beta) columns of a fixed twice_j; a column's lane
+# reads the rows of m and -m.  LANE_BUDGET caps lanes x column length per
+# kernel call.  Below _SCALAR_LANES rows each row runs alone in Python
+# floats, to its glue windows.  From 16 rows one numpy call per step wins
 # below column length ~1000 and loses above (batched vs every lane alone,
 # 2 CPUs: dense rotation N = 300 24 vs 55 ms, N = 2000 3.0 vs 1.7 s).
 LANE_BUDGET = 1 << 15
@@ -263,73 +265,82 @@ def _recurrence(A: np.ndarray, B: np.ndarray, seeds: np.ndarray, stops: np.ndarr
     return w
 
 
-def _glue(sgn: np.ndarray, logmag: np.ndarray, centre: np.ndarray) -> np.ndarray:
-    """Join each lane's up and down branch, fix the unit norm, flush tiny values.
+def _glue(sgn: np.ndarray, logmag: np.ndarray, lanes, centre: np.ndarray, out: np.ndarray):
+    """Join each lane's up and down branch, fix the unit norm, flush tiny values, into out.
 
-    Rows [0, L) of sgn and logmag hold the up branches, rows [L, 2L) the
-    down branches in reversed order; both are overwritten.  The branches
-    meet at the largest joint magnitude within _GLUE_HALF_WIDTH entries of
-    the lane's band centre.
+    sgn and logmag hold one up branch per beta and m of an m list that holds -m with
+    each m, ascending, indexed [beta, m, m']; lanes picks the lanes' m, centre holds
+    their band centres [beta, lane].  A lane's down branch is the row of -m read
+    backwards, its k-th step from m' = +j carrying the sign (-1)^k.  The branches
+    meet at the largest joint magnitude within _GLUE_HALF_WIDTH entries of the centre.
     """
-    lanes = len(centre)
-    n = sgn.shape[1]
-    su, lu = sgn[:lanes], logmag[:lanes]
-    sd, ld = sgn[lanes:, ::-1], logmag[lanes:, ::-1]
-    lane = np.arange(lanes)
+    n = sgn.shape[2]
+    su, lu = sgn[:, lanes], logmag[:, lanes]
+    sd, ld = sgn[:, ::-1, ::-1][:, lanes], logmag[:, ::-1, ::-1][:, lanes]
+    b = np.arange(len(centre))[:, None, None]
+    lane = np.arange(centre.shape[1])[:, None]
     offsets = np.arange(-_GLUE_HALF_WIDTH, _GLUE_HALF_WIDTH + 1)
-    window = np.minimum(np.maximum(centre[:, None] + offsets, 0), n - 1)
-    joint = lu[lane[:, None], window]
-    joint += ld[lane[:, None], window]
-    p = window[lane, np.argmax(joint, axis=1)]
-    ld += (lu[lane, p] - ld[lane, p])[:, None]
-    sd *= (su[lane, p] * sd[lane, p])[:, None]
-    upper = np.arange(n) > p[:, None]
-    np.copyto(lu, ld, where=upper)
-    np.copyto(su, sd, where=upper)
-    peak = lu.max(axis=1)
-    out = lu - peak[:, None]
-    out *= 2.0
-    sums = np.exp(out, out=out).sum(axis=1)
-    lognorm = peak + 0.5 * np.array([math.log(s) for s in sums.tolist()])
-    np.subtract(lu, lognorm[:, None], out=out)
+    window = np.minimum(np.maximum(centre[..., None] + offsets, 0), n - 1)
+    joint = lu[b, lane, window]
+    joint += ld[b, lane, window]
+    p = window[b, lane, np.argmax(joint, axis=2)[..., None]]
+    upper = np.arange(n) > p
+    np.copyto(out, lu)
+    np.add(ld, lu[b, lane, p] - ld[b, lane, p], out=out, where=upper)
+    peak = out.max(axis=2, keepdims=True)
+    scaled = out - peak
+    scaled *= 2.0
+    sums = np.exp(scaled, out=scaled).sum(axis=2).ravel().tolist()
+    np.subtract(out, peak + 0.5 * np.array([math.log(s) for s in sums]).reshape(p.shape),
+                out=out)
     np.exp(out, out=out)
-    np.multiply(su, out, out=out)
-    out[np.abs(out) < _FLUSH] = 0.0
-    return out
+    # the down branch's sign: (-1)^k at m' = j - k, made to agree with the up branch at p
+    sign = scaled
+    np.copyto(sign, sd)
+    sign[..., -2::-2] *= -1.0
+    sign *= su[b, lane, p] * sign[b, lane, p]
+    np.copyto(sign, su, where=~upper)
+    out *= sign
+    out[np.abs(out, out=sign) < _FLUSH] = 0.0
 
 
-def _recurrence_columns(tj: int, tms: np.ndarray, betas) -> np.ndarray:
-    """Stable d^j_{.,m}(beta) columns, one lane per (beta, m) pair, beta-major.
+def _recurrence_columns(tj: int, tms: np.ndarray, betas, out: np.ndarray):
+    """Write stable d^j_{.,m}(beta) columns into out[beta, m, m'].
 
-    Each lane runs the three-term recurrence in m' up from m' = -j, seeded
-    with the closed-form endpoint sign, and down from m' = +j, seeded with 1;
-    it glues the two branches at the classically allowed band centre
-    m' ~ m cos(beta), where the glue also gives the down branch its sign,
-    and fixes the overall scale with the unit-column-norm constraint.  Both
-    directions are lanes of one recurrence: the down branch runs on reversed
-    coefficients.  Returns (lane, m') values.  Run alone, a lane's branches
-    stop one entry past the glue window, about n + 41 steps for the pair
-    instead of 2n; batched lanes run both branches in full.
+    Each lane (m, beta) runs the three-term recurrence in m' up from m' = -j,
+    seeded with the closed-form endpoint sign, and down from m' = +j; it glues
+    the two branches at the classically allowed band centre m' ~ m cos(beta),
+    where the glue also gives the down branch its sign, and fixes the overall
+    scale with the unit-column-norm constraint.  The down recurrence of (m, beta)
+    has the up coefficients of (-m, beta) reversed, with B negated, so its k-th
+    value is (-1)^k times the up branch of (-m, beta), bit for bit.  Each beta
+    therefore runs one up row per m of the symmetric closure of tms, and lane m
+    reads its down branch from the row of -m.  Run alone, a row stops one entry
+    past the glue window of each lane that reads it; batched rows run in full.
     """
     n = tj + 1
     j = tj / 2.0
-    lanes = len(betas) * len(tms)
+    # the closure, ascending: row k's mirror -m is row -1 - k of the same beta
+    ms = sorted({*tms.tolist(), *(-tms).tolist()})
+    at = {tm: k for k, tm in enumerate(ms)}
+    lanes = [at[tm] for tm in tms.tolist()]
+    if lanes == list(range(lanes[0], lanes[0] + len(lanes))):
+        lanes = slice(lanes[0], lanes[0] + len(lanes))  # rows read as views, not copies
     trig = np.array([(math.sin(b), math.cos(b), math.cos(b / 2.0), math.sin(b / 2.0))
                      for b in betas])
-    sb, cb, ch, sh = np.repeat(trig, len(tms), axis=0).T
-    tm = np.tile(tms, len(betas))
+    sb, cb, ch, sh = np.repeat(trig, len(ms), axis=0).T
+    tm = np.array(ms * len(betas))
     m = tm / 2.0
     mp = np.arange(n, dtype=float) - j
 
-    # recurrence: A[i] v[i+1] = B[i] v[i] - A[i-1] v[i-1], one row per lane.
-    # Rows [0, L) run up from m' = -j; rows [L, 2L) run down from m' = +j on
-    # the reversed coefficients.  Column 0 of A is the zero before v[0].
-    A = np.zeros((2 * lanes, n))
-    A[:lanes, 1:] = sb[:, None] * np.sqrt((j - mp[:-1]) * (j + mp[:-1] + 1.0))
-    A[lanes:, 1:] = A[:lanes, :0:-1]
-    B = np.empty((2 * lanes, n))
-    B[:lanes] = 2.0 * (m[:, None] - mp * cb[:, None])
-    B[lanes:] = B[:lanes, ::-1]
+    # recurrence: A[i] v[i+1] = B[i] v[i] - A[i-1] v[i-1], one row per (beta, m)
+    # from m' = -j.  Column 0 of A is the zero before v[0].
+    rows = len(tm)
+    A = np.zeros((rows, n))
+    np.multiply(sb[:, None], np.sqrt((j - mp[:-1]) * (j + mp[:-1] + 1.0)), out=A[:, 1:])
+    B = np.multiply(mp, cb[:, None])
+    np.subtract(m[:, None], B, out=B)
+    B *= 2.0
 
     # endpoint sign of d_{-j,m} = C ch^{j-m} sh^{j+m}, C > 0
     odd_lo = (tj - tm) // 2 % 2 == 1
@@ -338,12 +349,13 @@ def _recurrence_columns(tj: int, tms: np.ndarray, betas) -> np.ndarray:
     sgn_sh = np.where(sh >= 0, 1.0, -1.0)
     sgn_bot = np.where(odd_lo, sgn_ch, 1.0) * np.where(odd_hi, sgn_sh, 1.0)
 
-    # a lane runs one entry past the glue window centre +- _GLUE_HALF_WIDTH: the
-    # step computing that entry can still rescale the last one the glue reads
+    # a row runs one entry past the glue window centre +- _GLUE_HALF_WIDTH of lane m
+    # and, read backwards, of lane -m: the step computing that entry can still
+    # rescale the last one the glue reads
     centre = np.minimum(np.maximum(np.rint(j + m * cb), 0), n - 1).astype(np.intp)
-    stops = np.concatenate([np.minimum(centre + _GLUE_HALF_WIDTH + 2, n),
-                            n - np.maximum(centre - _GLUE_HALF_WIDTH - 1, 0)])
-    w = _recurrence(A, B, np.concatenate([sgn_bot, np.ones(lanes)]), stops)
+    centre = centre.reshape(len(betas), len(ms))
+    reach = np.maximum(centre, n - 1 - centre[:, ::-1])
+    w = _recurrence(A, B, sgn_bot, np.minimum(reach + _GLUE_HALF_WIDTH + 2, n).ravel())
     del A  # free the coefficients before the tail allocates
     # sign/log-magnitude form.  B is finite except where a step rescaled;
     # entry i carries the +-_LOGBIG shifts of steps 0..i, summed in step order
@@ -356,26 +368,30 @@ def _recurrence_columns(tj: int, tms: np.ndarray, betas) -> np.ndarray:
         B[~rescaled] = 0.0
         logmag += np.cumsum(B, axis=1, out=B)
     del B, rescaled
+    shape = (len(betas), len(ms), n)
     with np.errstate(invalid="ignore"):  # an overflowed lane is refused below
-        out = _glue(np.sign(w, out=w), logmag, centre)
+        _glue(np.sign(w, out=w).reshape(shape), logmag.reshape(shape), lanes,
+              centre[:, lanes], out)
     if not np.isfinite(out).all():
-        beta = betas[np.argmin(np.isfinite(out).all(axis=1)) // len(tms)]
+        beta = betas[np.argmin(np.isfinite(out).all(axis=(1, 2)))]
         raise DomainError(f"beta = {beta!r} is too close to a multiple of pi: the column "
                           f"recurrence overflows at twice_j = {tj}")
-    return out
 
 
 def _columns(tj: int, tms, betas) -> np.ndarray:
     """d^j_{m',m}(beta) for every beta and m: array indexed [beta, m, m']."""
     tms = np.asarray(tms, dtype=np.int64)
-    shape = (len(betas), len(tms), tj + 1)
+    out = np.empty((len(betas), len(tms), tj + 1))
     # beta = +-0.0 is the only finite double with sin(beta) = 0: d(0) is the identity
-    turning = [b for b, beta in enumerate(betas) if beta != 0.0]
-    out = np.zeros(shape)
-    out[:, np.arange(len(tms)), (tj + tms) // 2] = 1.0
-    if turning:
-        cols = _recurrence_columns(tj, tms, [betas[b] for b in turning])
-        out[turning] = cols.reshape((len(turning),) + shape[1:])
+    start = 0
+    for turning, run in itertools.groupby(betas, key=lambda beta: beta != 0.0):
+        stop = start + len(list(run))
+        if turning:
+            _recurrence_columns(tj, tms, betas[start:stop], out[start:stop])
+        else:
+            out[start:stop] = 0.0
+            out[start:stop, np.arange(len(tms)), (tj + tms) // 2] = 1.0
+        start = stop
     return out
 
 

@@ -230,14 +230,16 @@ def _worst_fidelities(target, s, qs) -> list:
     return [min(fidelities) for fidelities in by_row]
 
 
-def _modulus_rows(kind: str, N: int, betas, with_phase: bool = False):
+def _modulus_rows(kind: str, N: int, betas, with_phase: bool = False, lead: tuple = ()):
+    """(*lead, beta_deg, n, modulus[, phase]) rows of the resources at each angle."""
     rows = []
     for angles, block in _grid_blocks(kind, N, betas):
         for beta, s, mods in zip(angles, block, np.abs(block).tolist()):
             cells = [mods]
             if with_phase:
                 cells.append(phase_distribution(QuasiEprResource(N, s)).tolist())
-            rows.extend(zip(itertools.repeat(math.degrees(beta)), range(N + 1), *cells))
+            fixed = map(itertools.repeat, lead + (math.degrees(beta),))
+            rows.extend(zip(*fixed, range(N + 1), *cells))
     return rows
 
 
@@ -281,7 +283,8 @@ def figure_dataset(figure_id: int) -> SweepResult:
     elif figure_id == 4:
         columns = ("N", "beta_deg", "n", "modulus")
         meta.update(resource_kind="j0")
-        rows = [(N,) + row for N in _LARGE_N for row in _modulus_rows("j0", N, [beta_q(N)])]
+        rows = list(itertools.chain.from_iterable(
+            _modulus_rows("j0", N, [beta_q(N)], lead=(N,)) for N in _LARGE_N))
     elif figure_id in _SWEEP_FIGURES:
         spec = _SWEEP_FIGURES[figure_id]
         columns = ("beta_deg", "q", "fidelity", "bound", "probability")

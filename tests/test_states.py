@@ -1,6 +1,7 @@
 """Two-mode indexing, relative-phase states, coherent targets."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from fockport import (
     spin_to_two_mode,
     two_mode_to_spin,
 )
+
+from fockport import states
 
 from conftest import align_phase, mpmath
 
@@ -234,6 +237,30 @@ class TestCoherentLargeAlpha:
             assert poisson_tail(alpha, target.k_max) < 1e-12, alpha
         with pytest.raises(DomainError, match="10000 coherent terms"):
             coherent_coefficients(100.001)
+
+    def test_bisected_start_is_the_first_normal_weight_of_a_scan(self):
+        def scan(mean):
+            # the scan up from k = 0 that the bisection replaced
+            k, p = 0, math.exp(-mean)
+            while p < sys.float_info.min:
+                k += 1
+                p = math.exp(k * math.log(mean) - mean - math.lgamma(k + 1.0))
+            return k, p
+
+        # the first alpha whose e^{-alpha^2} is below the normal range, by bisection on floats
+        lo, hi = 26.5, 26.7
+        while math.nextafter(lo, hi) < hi:
+            mid = (lo + hi) / 2.0
+            lo, hi = (lo, mid) if math.exp(-mid * mid) < sys.float_info.min else (mid, hi)
+        assert math.exp(-hi * hi) < sys.float_info.min <= math.exp(-lo * lo)
+        edge = [lo, hi, math.nextafter(hi, 27.0)]
+        starts = []
+        for alpha in edge + [float(a) for a in np.linspace(26.5, 100.0, 148)] + [90.0]:
+            k, p = states._first_normal_weight(alpha * alpha)
+            want_k, want_p = scan(alpha * alpha)
+            assert k == want_k and p.hex() == want_p.hex(), alpha
+            starts.append(k)
+        assert starts[:3] == [0, 1, 1] and max(starts) > 4900
 
     @pytest.mark.parametrize("tail_tol", [0.0, -1.0, math.nan])
     def test_tail_tol_must_be_positive(self, tail_tol):

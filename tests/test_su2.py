@@ -2,7 +2,10 @@
 
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -694,6 +697,66 @@ class TestBatchedKernel:
 
     def test_empty_grid(self):
         assert rotate_about_x_grid(basis_state(SpinJ(4), SpinProjection(0)), []) == []
+
+    @pytest.mark.parametrize("twice_j, twice_ms, betas, rows, steps", [
+        # symmetric lane sets run one row per lane; m = 0 alone runs about n/2 + 22 steps
+        (20, [-4, -2, 0, 2, 4], [0.3, 2.9], 10, None),
+        (20000, [0], [(PI / 2) * (1 - 1 / 20000)], 1, [10022]),
+        (2001, [-1, 1], [1.5], 2, None),
+        # an unpartnered lane runs its mirror row to where its down branch stopped
+        (100000, [2], [1.234], 2, [50022, 50022]),
+        (100000, [-99998], [0.02], 2, None),
+        (2001, [1999, -3], [0.1], 4, None),
+        # j + m cos(beta) rounds to 64 but j - m cos(beta) to 63, not 128 - 64: row -2
+        # stops at 86 for the down branch of m = 1, row 2 at 87 for that of m = -1,
+        # whichever lane is asked for (the two-branch kernel ran 86 + 86 steps for m = 1)
+        (128, [2], [1.0471975511965896], 2, [86, 87]),
+        (128, [-2], [1.0471975511965896], 2, [86, 87]),
+    ])
+    def test_each_beta_runs_one_up_row_per_m_of_the_closure(self, monkeypatch, twice_j, twice_ms,
+                                                             betas, rows, steps):
+        calls = []
+        recurrence = su2._recurrence
+
+        def spy(A, B, seeds, stops):
+            calls.append((len(seeds), stops.tolist()))
+            return recurrence(A, B, seeds, stops)
+
+        monkeypatch.setattr(su2, "_recurrence", spy)
+        got = su2._columns(twice_j, twice_ms, betas)
+        (count, stops), = calls
+        assert count == rows
+        if steps is not None:
+            assert stops == steps
+        # the two-branch kernel stopped a lane's up branch one entry past the top of its
+        # glue window and its down branch one past the bottom; a row is the up branch
+        # of m and the down branch of -m and stops at the later of the two
+        j, n = twice_j / 2.0, twice_j + 1
+
+        def centre(tm, beta):
+            return min(max(round(j + tm / 2.0 * math.cos(beta)), 0), n - 1)
+
+        closure = sorted({*twice_ms, *(-tm for tm in twice_ms)})
+        for stop, (beta, tm) in zip(stops, itertools.product(betas, closure), strict=True):
+            up = centre(tm, beta) + 22
+            down = n - max(centre(-tm, beta) - 21, 0)
+            assert stop == min(max(up, down), n)
+        want = np.array([[reference_d_column(twice_j, tm, b) for tm in twice_ms] for b in betas])
+        assert same_bits(got, want)
+
+    @pytest.mark.parametrize("cpu_features", [None, "X86_V4 AVX512_ICL AVX512_SPR"],
+                             ids=["default", "no-avx512"])
+    def test_mirrored_kernel_has_the_bits_of_the_two_branch_kernel(self, cpu_features):
+        # tests/two_branch_kernel.py keeps the kernel that ran both branches of every lane
+        tests = os.path.dirname(__file__)
+        src = os.path.dirname(os.path.dirname(su2.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]))
+        if cpu_features:
+            env["NPY_DISABLE_CPU_FEATURES"] = cpu_features  # unknown names are ignored
+        proc = subprocess.run(
+            [sys.executable, "-c", "import two_branch_kernel as k; print(k.mismatches())"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.stdout.strip() == "[]", proc.stdout + proc.stderr[-2000:]
 
 
 def dense_d(twice_j, beta):
