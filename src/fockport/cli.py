@@ -384,7 +384,7 @@ def _parser() -> argparse.ArgumentParser:
 
     What is alive by now (numpy, fockport, the parser: ~21,000 objects) lives as long
     as the process, so gc.freeze() keeps full collections from walking it again; such
-    a collection took 6-8 ms, in whichever command it fell, and takes 0.03 ms after.
+    a collection took 6-10 ms, in whichever command it fell, and takes 0.03 ms after.
     """
     parser = build_parser()
     gc.freeze()
