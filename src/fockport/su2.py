@@ -214,42 +214,45 @@ def _recurrence_batched(A: np.ndarray, B: np.ndarray, seeds: np.ndarray) -> np.n
     prev = np.zeros(lanes)
     tmp = np.empty(lanes)
     mag = np.empty(lanes)
-    for i in range(n - 1):
-        cur, nxt = w[:, i], w[:, i + 1]
-        np.multiply(B[:, i], cur, out=nxt)
-        np.subtract(nxt, np.multiply(A[:, i], prev, out=tmp), out=nxt)
-        np.divide(nxt, A[:, i + 1], out=nxt)
-        prev = cur
-        np.abs(nxt, out=mag)
-        if np.maximum.reduce(mag) <= _BIG and np.minimum.reduce(mag) >= _TINY:
-            continue
-        big = mag > _BIG
-        small = (mag != 0.0) & (mag < _TINY)
-        nxt[big] /= _BIG
-        cur[big] /= _BIG
-        nxt[small] *= _BIG
-        cur[small] *= _BIG
-        B[big, i] = math.inf
-        B[small, i] = -math.inf
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed lane is refused later
+        for i in range(n - 1):
+            cur, nxt = w[:, i], w[:, i + 1]
+            np.multiply(B[:, i], cur, out=nxt)
+            np.subtract(nxt, np.multiply(A[:, i], prev, out=tmp), out=nxt)
+            np.divide(nxt, A[:, i + 1], out=nxt)
+            prev = cur
+            np.abs(nxt, out=mag)
+            if np.maximum.reduce(mag) <= _BIG and np.minimum.reduce(mag) >= _TINY:
+                continue
+            big = mag > _BIG
+            small = (mag != 0.0) & (mag < _TINY)
+            nxt[big] /= _BIG
+            cur[big] /= _BIG
+            nxt[small] *= _BIG
+            cur[small] *= _BIG
+            B[big, i] = math.inf
+            B[small, i] = -math.inf
     return w
 
 
 def _recurrence_scalar(A, B, seed: float) -> array:
     """One lane of _recurrence_batched in Python floats; same operations, same order."""
     w = array("d", [seed])
+    push, big, tiny = w.append, _BIG, _TINY
     prev, cur = 0.0, seed
     for a_prev, a, b in zip(A, A[1:], B):
         nxt = (b * cur - a_prev * prev) / a
-        mag = abs(nxt)
-        if mag > _BIG:
-            nxt /= _BIG
-            cur /= _BIG
-            w[-1], B[len(w) - 1] = cur, math.inf
-        elif mag != 0.0 and mag < _TINY:
-            nxt *= _BIG
-            cur *= _BIG
-            w[-1], B[len(w) - 1] = cur, -math.inf
-        w.append(nxt)
+        if not tiny <= abs(nxt) <= big:  # also 0.0 and NaN, which are not rescaled
+            mag = abs(nxt)
+            if mag > big:
+                nxt /= big
+                cur /= big
+                w[-1], B[len(w) - 1] = cur, math.inf
+            elif 0.0 < mag:
+                nxt *= big
+                cur *= big
+                w[-1], B[len(w) - 1] = cur, -math.inf
+        push(nxt)
         prev, cur = cur, nxt
     return w
 
@@ -331,12 +334,22 @@ def _recurrence_columns(tj: int, tms: np.ndarray, betas, out: np.ndarray):
     sb, cb, ch, sh = np.repeat(trig, len(ms), axis=0).T
     tm = np.array(ms * len(betas))
     m = tm / 2.0
-    mp = np.arange(n, dtype=float) - j
+
+    # a row runs one entry past the glue window centre +- _GLUE_HALF_WIDTH of lane m
+    # and, read backwards, of lane -m: the step computing that entry can still
+    # rescale the last one the glue reads
+    centre = np.minimum(np.maximum(np.rint(j + m * cb), 0), n - 1).astype(np.intp)
+    centre = centre.reshape(len(betas), len(ms))
+    reach = np.maximum(centre, n - 1 - centre[:, ::-1])
+    stops = np.minimum(reach + _GLUE_HALF_WIDTH + 2, n).ravel()
+    # rows run alone are built and transformed only as far as the longest of them runs
+    rows = len(tm)
+    width = int(stops.max()) if rows < _SCALAR_LANES else n
+    mp = np.arange(width, dtype=float) - j
 
     # recurrence: A[i] v[i+1] = B[i] v[i] - A[i-1] v[i-1], one row per (beta, m)
     # from m' = -j.  Column 0 of A is the zero before v[0].
-    rows = len(tm)
-    A = np.zeros((rows, n))
+    A = np.zeros((rows, width))
     np.multiply(sb[:, None], np.sqrt((j - mp[:-1]) * (j + mp[:-1] + 1.0)), out=A[:, 1:])
     B = np.multiply(mp, cb[:, None])
     np.subtract(m[:, None], B, out=B)
@@ -349,29 +362,27 @@ def _recurrence_columns(tj: int, tms: np.ndarray, betas, out: np.ndarray):
     sgn_sh = np.where(sh >= 0, 1.0, -1.0)
     sgn_bot = np.where(odd_lo, sgn_ch, 1.0) * np.where(odd_hi, sgn_sh, 1.0)
 
-    # a row runs one entry past the glue window centre +- _GLUE_HALF_WIDTH of lane m
-    # and, read backwards, of lane -m: the step computing that entry can still
-    # rescale the last one the glue reads
-    centre = np.minimum(np.maximum(np.rint(j + m * cb), 0), n - 1).astype(np.intp)
-    centre = centre.reshape(len(betas), len(ms))
-    reach = np.maximum(centre, n - 1 - centre[:, ::-1])
-    w = _recurrence(A, B, sgn_bot, np.minimum(reach + _GLUE_HALF_WIDTH + 2, n).ravel())
+    w = _recurrence(A, B, sgn_bot, stops)
     del A  # free the coefficients before the tail allocates
     # sign/log-magnitude form.  B is finite except where a step rescaled;
-    # entry i carries the +-_LOGBIG shifts of steps 0..i, summed in step order
-    logmag = np.abs(w)
+    # entry i carries the +-_LOGBIG shifts of steps 0..i, summed in step order.
+    # Past width both stay zero: the glue reads no row past its stop
+    logmag = np.zeros((rows, n))
+    head = logmag[:, :width]
     with np.errstate(divide="ignore"):
-        np.log(logmag, out=logmag)
+        np.log(np.abs(w, out=head), out=head)
     rescaled = np.isinf(B)
     if rescaled.any():
         np.copysign(_LOGBIG, B, out=B)
         B[~rescaled] = 0.0
-        logmag += np.cumsum(B, axis=1, out=B)
+        head += np.cumsum(B, axis=1, out=B)
     del B, rescaled
+    sgn = w if width == n else np.zeros((rows, n))
+    np.sign(w, out=sgn[:, :width])
+    del w
     shape = (len(betas), len(ms), n)
     with np.errstate(invalid="ignore"):  # an overflowed lane is refused below
-        _glue(np.sign(w, out=w).reshape(shape), logmag.reshape(shape), lanes,
-              centre[:, lanes], out)
+        _glue(sgn.reshape(shape), logmag.reshape(shape), lanes, centre[:, lanes], out)
     if not np.isfinite(out).all():
         beta = betas[np.argmin(np.isfinite(out).all(axis=(1, 2)))]
         raise DomainError(f"beta = {beta!r} is too close to a multiple of pi: the column "

@@ -610,6 +610,40 @@ class TestTopLevel:
         assert [code for code, _, _ in together] == [0, 2, 0, 2, 0]
 
 
+_NUMPY_MA_CHILD = """
+import contextlib, io, sys
+from fockport import cli
+spec, state = sys.argv[1:]
+runs = [["figure", "--id", str(i)] for i in range(1, 8)] + [
+    ["teleport", "--resource", "j0", "--n", "20", "--beta-deg", "85.5", "--alpha", "3", "--all-q"],
+    ["teleport", "--resource", "3pt", "--n", "40", "--beta-deg", "80", "--alpha", "2", "--all-q",
+     "--format", "json"],
+    ["sweep", "--spec-file", spec],
+    ["rotate", "--n", "20", "--input-state-file", state, "--beta-deg", "30"],
+    ["rotate", "--n", "2000", "--m", "4", "--beta-deg", "30"],
+]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_commands_do_not_import_numpy_ma(tmp_path):
+    # np.unique and np.union1d import numpy.ma on first use: 16-17 ms of every cold start
+    spec = tmp_path / "spec.txt"
+    spec.write_text(SPEC_TEXT)
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps([[1, 0]] * 21))
+    src = str(Path(fockport.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_MA_CHILD, str(spec), str(state)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "False\n"
+
+
 @pytest.mark.parametrize("text", ["x" * 100000 + "\n",
                                   "n = " + "1" * 100000 + ".5\nresource_kind = j0\n"],
                          ids=["no-equals", "long-number"])

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -603,19 +604,21 @@ class TestBatchedKernel:
             (100000, [2], [1.234]),
             # 1598 rescales with full branches, 799 once the up branch stops at the window
             (100000, [-99998], [0.02]),
+            # no lane reaches an end: rows of unequal length, all short of n
+            (2001, [-3, 401, 1001], [0.7, 1.9]),
         ],
     )
     def test_scalar_lanes_never_read_past_their_stop(self, monkeypatch, twice_j, twice_ms,
                                                        betas):
-        poisoned = []
+        shapes = []
         recurrence = su2._recurrence
 
         def spy(A, B, seeds, stops):
             assert len(seeds) < su2._SCALAR_LANES
+            shapes.append((A.shape, B.shape, (len(seeds), max(stops))))
             for lane, stop in enumerate(stops.tolist()):
                 A[lane, stop:] = math.nan
                 B[lane, stop:] = math.nan
-                poisoned.append(B.shape[1] - stop)
             return recurrence(A, B, seeds, stops)
 
         monkeypatch.setattr(su2, "_recurrence", spy)
@@ -623,8 +626,8 @@ class TestBatchedKernel:
         want = np.array([[reference_d_column(twice_j, tm, b) for tm in twice_ms]
                          for b in betas])
         assert same_bits(got, want)
-        # up to n = 22 every lane runs to the end from any centre
-        assert any(poisoned) == (twice_j + 1 > su2._GLUE_HALF_WIDTH + 2)
+        # rows run alone get coefficients only as far as the longest of them runs
+        assert shapes and all(a == b == wide for a, b, wide in shapes)
 
     def test_both_rescale_directions_agree(self, rng):
         # seeds below 1/_BIG force upward rescales, steep coefficients downward ones
@@ -694,6 +697,24 @@ class TestBatchedKernel:
         with pytest.raises(DomainError, match=named):
             rotate_about_x_grid(basis_state(SpinJ(twice_j), SpinProjection(twice_m)),
                                 [0.3, beta, 1e-5])
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_batched_lanes_are_domain_error(self):
+        # 11 m at two angles run batched; numpy's overflow warnings must not escape first
+        state = SpinState(SpinJ(10), np.ones(11) / math.sqrt(11))
+        with pytest.raises(DomainError, match=re.escape("beta = 1e-100")):
+            rotate_about_x_grid(state, [0.3, 1e-100])
+
+    def test_long_column_allocates_only_what_its_branches_reach(self):
+        # each branch of m = 1233 runs about half of the 100000 entries
+        wigner_d_column(SpinJ(99999), SpinProjection(1233), 1.234)  # warm numpy up
+        tracemalloc.start()
+        try:
+            wigner_d_column(SpinJ(99999), SpinProjection(1233), 1.234)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.0e6, peak
 
     def test_empty_grid(self):
         assert rotate_about_x_grid(basis_state(SpinJ(4), SpinProjection(0)), []) == []
