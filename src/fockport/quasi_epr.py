@@ -154,8 +154,19 @@ def _qualities(rows: np.ndarray) -> list:
     mods = np.abs(rows)
     p = mods ** 2
     p /= p.sum(axis=-1, keepdims=True)
-    # each entropy sums its own row's nonzero p alone: a sum's tree depends on its length
-    entropies = [float(-(nz * np.log(nz)).sum()) for nz in (row[row > 0.0] for row in p)]
+    # each entropy sums its own row's nonzero p alone: a sum's tree depends on its length.
+    # A reduceat segment that starts at a 0.0 has the bits of a reduce over the rest, so
+    # one flat array holds per row a 0.0, then that row's p log p terms for p > 0.
+    live = p > 0.0
+    sizes = np.count_nonzero(live, axis=-1) + 1
+    starts = np.cumsum(sizes) - sizes
+    flat = np.zeros(starts[-1] + sizes[-1])
+    is_term = np.ones(len(flat), dtype=bool)
+    is_term[starts] = False
+    nz = p[live]
+    flat[is_term] = nz * np.log(nz)
+    # the sums are negated, not the terms: a lone p = 1 gives -(0.0 + 0.0) = -0.0
+    entropies = (-np.add.reduceat(flat, starts)).tolist()
     log_dim = math.log(rows.shape[-1])
     zeros = np.count_nonzero(mods < _ZERO_TOL, axis=-1).tolist()
     return [EprQualityReport(lo, z, hi - lo, h, h / log_dim if log_dim > 0.0 else 1.0)

@@ -47,6 +47,8 @@ _GLUE_HALF_WIDTH = 20  # branches are glued within this many entries of the band
 # 340 MB; far beyond it numpy cannot allocate the dense vectors at all.
 MAX_TWICE_J = 1_000_000
 
+_I_POWERS = 1j ** np.arange(4)  # i^k for k mod 4, as 1j ** np.mod(k, 4) gives them
+
 
 @dataclass(frozen=True)
 class SpinJ:
@@ -238,11 +240,12 @@ def _recurrence_batched(A: np.ndarray, B: np.ndarray, seeds: np.ndarray) -> np.n
 def _recurrence_scalar(A, B, seed: float) -> array:
     """One lane of _recurrence_batched in Python floats; same operations, same order."""
     w = array("d", [seed])
-    push, big, tiny = w.append, _BIG, _TINY
+    push, big, tiny, neg_big, neg_tiny = w.append, _BIG, _TINY, -_BIG, -_TINY
     prev, cur = 0.0, seed
     for a_prev, a, b in zip(A, A[1:], B):
         nxt = (b * cur - a_prev * prev) / a
-        if not tiny <= abs(nxt) <= big:  # also 0.0 and NaN, which are not rescaled
+        # tiny <= abs(nxt) <= big without the call; +-0.0 and NaN fail both, and are not rescaled
+        if not (tiny <= nxt <= big or neg_big <= nxt <= neg_tiny):
             mag = abs(nxt)
             if mag > big:
                 nxt /= big
@@ -459,13 +462,16 @@ def _rotated(state: SpinState, betas) -> np.ndarray:
     nonzero = np.flatnonzero(state.amplitudes != 0.0)
     out = np.zeros((len(betas), state.j.dim), dtype=complex)
     for b, ms, cols in _column_blocks(state.j.twice_j, tms[nonzero], betas):
-        for col, i in zip(cols.transpose(1, 0, 2), nonzero[ms]):
-            # i^{m-m'} = e^{i pi (m-m')/2}; m-m' is an integer so this is exact
-            k = (tms[i] - tms) // 2
-            out[b] += state.amplitudes[i] * (1j ** np.mod(k, 4)) * col
+        # i^{m-m'} = e^{i pi (m-m')/2}; m-m' is the integer index difference, so this is exact
+        i = nonzero[ms]
+        weights = state.amplitudes[i, None] * _I_POWERS[(i[:, None] - np.arange(len(tms))) % 4]
+        for term in (weights * cols).transpose(1, 0, 2):  # summed in m order, as the bits require
+            out[b] += term
     out[np.abs(out) < _FLUSH] = 0.0
-    for row in out:
-        row /= np.linalg.norm(row)
+    # np.linalg.norm's two BLAS dots per row, each a stacked matmul of 1 x n by n x 1
+    sq = (np.matmul(out.real[:, None], out.real[..., None])
+          + np.matmul(out.imag[:, None], out.imag[..., None]))
+    out /= np.sqrt(sq[:, 0])
     return out
 
 

@@ -613,6 +613,7 @@ class TestTopLevel:
 _NUMPY_MA_CHILD = """
 import contextlib, io, sys
 from fockport import cli
+loaded = set(sys.modules)
 spec, state = sys.argv[1:]
 runs = [["figure", "--id", str(i)] for i in range(1, 8)] + [
     ["teleport", "--resource", "j0", "--n", "20", "--beta-deg", "85.5", "--alpha", "3", "--all-q"],
@@ -625,12 +626,19 @@ runs = [["figure", "--id", str(i)] for i in range(1, 8)] + [
 for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
+from fockport.sweep import find_beta_q_numeric
+find_beta_q_numeric(40, objective="entropy")
+find_beta_q_numeric(41, "2pt", "min_fidelity_target")
 print("numpy.ma" in sys.modules)
+print(sorted(name for name in set(sys.modules) - loaded
+             if name.partition(".")[0] in ("numpy", "fockport")))
 """
 
 
 def test_commands_do_not_import_numpy_ma(tmp_path):
-    # np.unique and np.union1d import numpy.ma on first use: 16-17 ms of every cold start
+    # np.unique and np.union1d import numpy.ma on first use: 16-17 ms of every cold start.
+    # No command or angle search loads a numpy or fockport module that importing
+    # fockport.cli did not: a lazy import would land in some command's time, not setup's.
     spec = tmp_path / "spec.txt"
     spec.write_text(SPEC_TEXT)
     state = tmp_path / "state.json"
@@ -641,7 +649,7 @@ def test_commands_do_not_import_numpy_ma(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _NUMPY_MA_CHILD, str(spec), str(state)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False\n[]\n"
 
 
 @pytest.mark.parametrize("text", ["x" * 100000 + "\n",

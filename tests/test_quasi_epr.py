@@ -327,6 +327,22 @@ class TestBlockQualities:
         reports = self.assert_rows_match(20000, grid("j0", 20000, [beta_q(20000), PI / 2]))
         assert reports[1].zero_count > 0
 
+    def test_block_of_mixed_rows(self, rng):
+        # one reduceat over the block: segments of every length, subnormal p, a lone p = 1
+        n = 41
+        block = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+        block[1, ::3] = 0.0  # flushed zeros
+        block[2, 4:] *= 1e-160  # p below the smallest normal float, yet above zero
+        block[3] = 0.0
+        block[3, 7] = -1j  # a single nonzero p
+        block[4, rng.random(n) < 0.9] = 0.0
+        block[4, 0] = 1.0
+        block /= np.linalg.norm(block, axis=-1, keepdims=True)
+        p = np.abs(block[2]) ** 2
+        assert 0.0 < p[4:].max() < np.finfo(float).tiny
+        reports = self.assert_rows_match(n - 1, block)
+        assert math.copysign(1.0, reports[3].entropy) == -1.0  # -(0.0), not a sum of -0.0
+
     def test_single_photon_number(self):
         for s in ([1.0], [-1j], [math.sqrt(0.5) * (1 + 1j)]):
             report, = self.assert_rows_match(0, np.array([s], dtype=complex))

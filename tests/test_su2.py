@@ -516,6 +516,42 @@ class TestRotation:
         np.testing.assert_allclose(a.amplitudes, b.amplitudes, atol=1e-14)
 
 
+_ROW_NORM_CHECK = """
+import numpy as np
+rng = np.random.default_rng(5)
+bad = []
+for n in [*range(1, 2101), 20001]:
+    rows = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+    rows[1, rng.random(n) < 0.5] = 0.0  # flushed entries among the values
+    rows[2, rng.random(n) < 0.95] = 0.0
+    rows[3, :] = 0.0
+    rows[3, n // 2] = 0.6 - 0.8j  # one nonzero entry, as at beta = 0
+    want = rows.copy()
+    for row in want:
+        row /= np.linalg.norm(row)
+    sq = (np.matmul(rows.real[:, None], rows.real[..., None])
+          + np.matmul(rows.imag[:, None], rows.imag[..., None]))
+    rows /= np.sqrt(sq[:, 0])
+    if rows.tobytes() != want.tobytes():
+        bad.append(n)
+print(bad[:10])
+"""
+
+
+@pytest.mark.parametrize("env_vars", [
+    {}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+    {"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "4"},
+], ids=["default", "no-avx512", "blas-1-thread", "blas-4-threads"])
+def test_stacked_matmul_row_norms_have_the_bits_of_linalg_norm(env_vars):
+    # su2._rotated's exactness rests on this property of numpy and its BLAS: np.linalg.norm
+    # of a complex row is sqrt(re.re + im.im), each a BLAS dot, and a stacked 1 x n by n x 1
+    # matmul calls that dot once per row.  n = 20001 is past OpenBLAS's threading threshold.
+    # A numpy or BLAS for which this fails must fail here, by name.
+    out = subprocess.run([sys.executable, "-c", _ROW_NORM_CHECK], env={**os.environ, **env_vars},
+                         check=True, capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]", f"numpy {np.__version__}: {out}"
+
+
 class TestBatchedKernel:
     """The lane-batched kernel and the per-lane scalar path against reference_column."""
 
@@ -633,9 +669,15 @@ class TestBatchedKernel:
         # seeds below 1/_BIG force upward rescales, steep coefficients downward ones
         n = 400
         seeds = np.array([1e-260, -1e-270, 1.0, 1e-300, -3.0])
+        # the scalar step's range test at its edges: each of these is the lane's first step
+        edges = np.array([math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324,
+                          2.5e-308, su2._TINY, -su2._TINY, su2._BIG, -su2._BIG,
+                          math.nextafter(su2._TINY, 0.0), math.nextafter(su2._BIG, math.inf)])
+        seeds = np.concatenate([seeds, edges])
         A = rng.uniform(0.5, 2.0, (len(seeds), n))
         A[:, 0] = 0.0
         B = rng.uniform(-50.0, 50.0, (len(seeds), n))
+        A[-len(edges):, 1] = B[-len(edges):, 0] = 1.0  # (1.0 * seed - 0.0 * 0.0) / 1.0 is seed
         record = B.copy()
         w = su2._recurrence_batched(A, record, seeds)
         exponents = np.array([rescale_exponents(row) for row in record])
