@@ -519,11 +519,12 @@ class TestRotation:
 _ROW_NORM_CHECK = """
 import numpy as np
 rng = np.random.default_rng(5)
+pool = rng.standard_normal((4, 20001)) + 1j * rng.standard_normal((4, 20001))
+pool[1, rng.random(20001) < 0.5] = 0.0  # flushed entries among the values
+pool[2, rng.random(20001) < 0.95] = 0.0
 bad = []
 for n in [*range(1, 2101), 20001]:
-    rows = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
-    rows[1, rng.random(n) < 0.5] = 0.0  # flushed entries among the values
-    rows[2, rng.random(n) < 0.95] = 0.0
+    rows = pool[:, -n:].copy()
     rows[3, :] = 0.0
     rows[3, n // 2] = 0.6 - 0.8j  # one nonzero entry, as at beta = 0
     want = rows.copy()
