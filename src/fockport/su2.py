@@ -35,7 +35,7 @@ _TINY = 1.0 / _BIG
 # and beta, for the (twice_m, beta) columns of a fixed twice_j; a column's lane
 # reads the rows of m and -m.  LANE_BUDGET caps lanes x column length per
 # kernel call.  Below _SCALAR_LANES rows each row runs alone in Python
-# floats, to its glue windows.  From 16 rows one numpy call per step wins
+# floats.  From 16 rows one numpy call per step wins
 # below column length ~1000 and loses above (batched vs every lane alone,
 # 2 CPUs: dense rotation N = 300 24 vs 55 ms, N = 2000 3.0 vs 1.7 s).
 LANE_BUDGET = 1 << 15
@@ -321,8 +321,8 @@ def _recurrence_columns(tj: int, tms: np.ndarray, betas, out: np.ndarray):
     has the up coefficients of (-m, beta) reversed, with B negated, so its k-th
     value is (-1)^k times the up branch of (-m, beta), bit for bit.  Each beta
     therefore runs one up row per m of the symmetric closure of tms, and lane m
-    reads its down branch from the row of -m.  Run alone, a row stops one entry
-    past the glue window of each lane that reads it; batched rows run in full.
+    reads its down branch from the row of -m.  A row stops one entry past the glue
+    window of each lane that reads it; every row, alone or batched, runs to the furthest.
     """
     n = tj + 1
     j = tj / 2.0
@@ -341,13 +341,12 @@ def _recurrence_columns(tj: int, tms: np.ndarray, betas, out: np.ndarray):
     # a row runs one entry past the glue window centre +- _GLUE_HALF_WIDTH of lane m
     # and, read backwards, of lane -m: the step computing that entry can still
     # rescale the last one the glue reads
-    centre = np.minimum(np.maximum(np.rint(j + m * cb), 0), n - 1).astype(np.intp)
-    centre = centre.reshape(len(betas), len(ms))
+    centre = np.rint(j + m * cb).astype(np.intp).reshape(len(betas), len(ms))
     reach = np.maximum(centre, n - 1 - centre[:, ::-1])
     stops = np.minimum(reach + _GLUE_HALF_WIDTH + 2, n).ravel()
-    # rows run alone are built and transformed only as far as the longest of them runs
+    # every row is built and transformed only as far as the longest of them runs
     rows = len(tm)
-    width = int(stops.max()) if rows < _SCALAR_LANES else n
+    width = int(stops.max())
     mp = np.arange(width, dtype=float) - j
 
     # recurrence: A[i] v[i+1] = B[i] v[i] - A[i-1] v[i-1], one row per (beta, m)

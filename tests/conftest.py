@@ -78,6 +78,44 @@ def mp_d(twice_j, twice_m_out, twice_m_in, beta, dps=60):
         return float(pref * total)
 
 
+def mp_recurrence_column(twice_j, twice_m, beta, dps=40):
+    """d^j_{m',m}(beta) for every m' by the kernel's two-branch recurrence in mpmath.
+
+    Each branch starts from its exact endpoint, up from m' = -j and down from
+    m' = +j, and stops at the band centre m' ~ m cos(beta), where the down
+    branch is scaled to meet the up branch; the column is then normalised.
+    mpmath's exponent range needs no rescales.  Returns (column, the scale),
+    a scale that is 1 up to the working precision when both endpoints are right.
+    """
+    n = twice_j + 1
+    with mpmath.workdps(dps):
+        j = mpmath.mpf(twice_j) / 2
+        m = mpmath.mpf(twice_m) / 2
+        b = mpmath.mpf(beta)
+        sb, cb = mpmath.sin(b), mpmath.cos(b)
+        ch, sh = mpmath.cos(b / 2), mpmath.sin(b / 2)
+        # A[i] v[i+1] = B[i] v[i] - A[i-1] v[i-1] at m' = -j + i; A[n - 1] = 0
+        A = [sb * mpmath.sqrt((twice_j - i) * (i + 1)) for i in range(n)]
+        B = [2 * (m - (i - j) * cb) for i in range(n)]
+        lo, hi = (twice_j - twice_m) // 2, (twice_j + twice_m) // 2
+        scale = mpmath.sqrt(mpmath.binomial(twice_j, hi))
+        up = [scale * ch ** lo * sh ** hi]  # d_{-j,m}
+        down = [scale * ch ** hi * (-sh) ** lo]  # d_{+j,m}, entry n - 1
+        centre = min(max(round(twice_j / 2 + twice_m / 2 * math.cos(beta)), 0), n - 1)
+        before = mpmath.mpf(0)
+        for i in range(centre):
+            up.append((B[i] * up[i] - (A[i - 1] * before if i else 0)) / A[i])
+            before = up[i]
+        after = mpmath.mpf(0)
+        for i in range(n - 1, centre, -1):
+            down.append((B[i] * down[-1] - A[i] * after) / A[i - 1])
+            after = down[-2]
+        ratio = up[centre] / down[-1]
+        column = up + [v * ratio for v in down[-2::-1]]
+        norm = mpmath.sqrt(mpmath.fsum(v * v for v in column))
+        return [v / norm for v in column], ratio
+
+
 def align_phase(reference, state):
     """Rotate state by a global phase so it best matches reference."""
     inner = np.vdot(state, reference)

@@ -652,6 +652,34 @@ def test_commands_do_not_import_numpy_ma(tmp_path):
     assert proc.stdout == "False\n[]\n"
 
 
+_CLI_IMPORT_CHILD = """
+import json, sys
+import numpy
+loaded = set(sys.modules)
+import fockport.cli
+print(json.dumps(sorted(set(sys.modules) - loaded)))
+"""
+
+
+def test_cli_import_loads_only_fockport_and_the_standard_library():
+    # cold start pays for every module import fockport.cli loads past numpy itself:
+    # a new top-level import (scipy, numpy.polynomial, ...) is named here
+    src = str(Path(fockport.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _CLI_IMPORT_CHILD],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    added = json.loads(proc.stdout)
+    assert [name for name in added if name.partition(".")[0] == "numpy"] == []
+    assert [name for name in added if name.partition(".")[0] == "fockport"] == [
+        "fockport", "fockport._version", "fockport.cli", "fockport.errors",
+        "fockport.quasi_epr", "fockport.states", "fockport.su2", "fockport.sweep",
+        "fockport.teleport"]
+    assert [name for name in added if name.partition(".")[0] not in sys.stdlib_module_names
+            and name.partition(".")[0] != "fockport"] == []
+
+
 @pytest.mark.parametrize("text", ["x" * 100000 + "\n",
                                   "n = " + "1" * 100000 + ".5\nresource_kind = j0\n"],
                          ids=["no-equals", "long-number"])

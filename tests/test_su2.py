@@ -25,6 +25,7 @@ from fockport import (
     basis_state,
     brute_force_rotation,
     phase_shift,
+    resources_for_kind,
     rotate_about_x,
     rotate_about_x_grid,
     wigner_d_column,
@@ -32,7 +33,7 @@ from fockport import (
 )
 from fockport import errors, su2
 
-from conftest import dmat_expm, mp_d, random_state_vector, rot_expm
+from conftest import dmat_expm, mp_d, mp_recurrence_column, random_state_vector, rot_expm
 
 PI = math.pi
 
@@ -666,6 +667,39 @@ class TestBatchedKernel:
         # rows run alone get coefficients only as far as the longest of them runs
         assert shapes and all(a == b == wide for a, b, wide in shapes)
 
+    @pytest.mark.parametrize(
+        "twice_j, twice_ms, betas",
+        [
+            # one row per angle, every stop 122 of 201 entries
+            (200, [0], list(np.linspace(0.3, 2.8, 20))),
+            # rows of m = -1 and 1 at each angle, half-integer j
+            (201, [-1, 1], list(np.linspace(0.3, 2.8, 10))),
+            # a dense block: 242 rows of unequal stops, the furthest 104 of 121
+            (120, list(range(-120, 121, 2)), [1.2, 1.9]),
+        ],
+    )
+    def test_batched_lanes_never_read_past_their_stop(self, monkeypatch, twice_j, twice_ms,
+                                                      betas):
+        shapes = []
+        recurrence = su2._recurrence
+
+        def spy(A, B, seeds, stops):
+            assert len(seeds) >= su2._SCALAR_LANES
+            shapes.append((A.shape, B.shape, (len(seeds), max(stops))))
+            for lane, stop in enumerate(stops.tolist()):
+                A[lane, stop:] = math.nan
+                B[lane, stop:] = math.nan
+            return recurrence(A, B, seeds, stops)
+
+        monkeypatch.setattr(su2, "_recurrence", spy)
+        got = su2._columns(twice_j, twice_ms, betas)
+        want = np.array([[reference_d_column(twice_j, tm, b) for tm in twice_ms]
+                         for b in betas])
+        assert same_bits(got, want)
+        # batched rows, like rows run alone, stop where the longest of them stops
+        assert shapes and all(a == b == wide for a, b, wide in shapes)
+        assert all(wide[1] < twice_j + 1 for _, _, wide in shapes)
+
     def test_both_rescale_directions_agree(self, rng):
         # seeds below 1/_BIG force upward rescales, steep coefficients downward ones
         n = 400
@@ -747,6 +781,12 @@ class TestBatchedKernel:
         state = SpinState(SpinJ(10), np.ones(11) / math.sqrt(11))
         with pytest.raises(DomainError, match=re.escape("beta = 1e-100")):
             rotate_about_x_grid(state, [0.3, 1e-100])
+
+    def test_overflowing_short_batched_lanes_are_domain_error(self):
+        # 21 angles of m = 0 run batched in rows that stop at 122 of 201 entries
+        betas = [1e-100, *np.linspace(0.5, 1.5, 20)]
+        with pytest.raises(DomainError, match=re.escape("beta = 1e-100")):
+            resources_for_kind("j0", 200, betas)
 
     def test_long_column_allocates_only_what_its_branches_reach(self):
         # each branch of m = 1233 runs about half of the 100000 entries
@@ -850,3 +890,30 @@ class TestLargeNIdentities:
     def test_composition(self, twice_j, b1, b2):
         np.testing.assert_allclose(dense_d(twice_j, b1) @ dense_d(twice_j, b2),
                                    dense_d(twice_j, b1 + b2), atol=1e-10)
+
+
+class TestLargeJAccuracy:
+    """The kernel against its own recurrence run in 40 digits, where mp_d cannot reach."""
+
+    @pytest.mark.parametrize("twice_j, twice_m, beta", [(20, 4, 0.7), (31, -5, 2.5),
+                                                        (40, 40, 1.1), (40, -40, 0.3)])
+    def test_mp_recurrence_matches_the_element_sum(self, twice_j, twice_m, beta):
+        column, scale = mp_recurrence_column(twice_j, twice_m, beta)
+        want = [mp_d(twice_j, 2 * i - twice_j, twice_m, beta) for i in range(twice_j + 1)]
+        np.testing.assert_allclose([float(v) for v in column], want, rtol=0, atol=1e-15)
+        assert abs(scale - 1) < 1e-30
+
+    # bounds are about twice the error measured when they were set, as a fraction
+    # of the column peak: 1.52e-13, 1.86e-14, 2.02e-13 and 1.65e-12
+    @pytest.mark.parametrize("twice_j, twice_m, beta, bound", [
+        (2000, 400, 0.5, 3e-13),
+        (2000, 0, 1.0, 4e-14),
+        (2000, -1500, 2.9, 4e-13),  # the up branch starts at about 6e-1447
+        (20000, 4000, 0.5, 3.3e-12),
+    ])
+    def test_column_error_against_mp_recurrence(self, twice_j, twice_m, beta, bound):
+        column, scale = mp_recurrence_column(twice_j, twice_m, beta)
+        assert abs(scale - 1) < 1e-30  # the two exact endpoints agree at the glue
+        want = np.array([float(v) for v in column])
+        got = wigner_d_column(SpinJ(twice_j), SpinProjection(twice_m), beta).values
+        assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
