@@ -74,8 +74,9 @@ def f_coefficient(j: SpinJ, m_out: SpinProjection, beta: float = math.pi / 2,
 
 
 def _f_coefficients(tj: int, tmps: np.ndarray, beta: float, phi0: float) -> list:
-    """f^j_{m'} for each doubled m' of tmps, by one kernel call while the columns fit in
-    su2.LANE_BUDGET (four up to twice_j = 8191), else by one per block of them.
+    """f^j_{m'} for each doubled m' of tmps, by one kernel call while the rows of their
+    closure under m' -> -m' fit in su2.LANE_BUDGET (four up to twice_j = 32767), else by
+    one per block of them.
 
     Row k of the columns is d^j_{m, m'_k} over m; d^j_{m'm} = (-1)^{m'-m} d^j_{mm'}.
     """

@@ -33,12 +33,14 @@ _TINY = 1.0 / _BIG
 
 # The column kernel advances a batch of recurrence rows, one row per twice_m
 # and beta, for the (twice_m, beta) columns of a fixed twice_j; a column's lane
-# reads the rows of m and -m.  LANE_BUDGET caps lanes x column length per
-# kernel call.  Below _SCALAR_LANES rows each row runs alone in Python
-# floats.  From 16 rows one numpy call per step wins
+# reads the rows of m and -m.  LANE_BUDGET caps rows x column length per kernel
+# call and _BLOCK_ROWS its rows, the closure under m -> -m counted; a batched
+# step costs about the same per row from 1024 rows on.  Below _SCALAR_LANES rows
+# each row runs alone in Python floats.  From 16 rows one numpy call per step wins
 # below column length ~1000 and loses above (batched vs every lane alone,
 # 2 CPUs: dense rotation N = 300 24 vs 55 ms, N = 2000 3.0 vs 1.7 s).
-LANE_BUDGET = 1 << 15
+LANE_BUDGET = 1 << 17
+_BLOCK_ROWS = 1024
 _SCALAR_LANES = 16
 _GLUE_HALF_WIDTH = 20  # branches are glued within this many entries of the band centre
 
@@ -278,18 +280,26 @@ def _glue(sgn: np.ndarray, logmag: np.ndarray, lanes, centre: np.ndarray, out: n
     each m, ascending, indexed [beta, m, m']; lanes picks the lanes' m, centre holds
     their band centres [beta, lane].  A lane's down branch is the row of -m read
     backwards, its k-th step from m' = +j carrying the sign (-1)^k.  The branches
-    meet at the largest joint magnitude within _GLUE_HALF_WIDTH entries of the centre.
+    meet at the first largest joint magnitude within _GLUE_HALF_WIDTH entries of the
+    centre, read by one flat take per branch from the contiguous logmag.
     """
-    n = sgn.shape[2]
+    betas, rows, n = sgn.shape
     su, lu = sgn[:, lanes], logmag[:, lanes]
     sd, ld = sgn[:, ::-1, ::-1][:, lanes], logmag[:, ::-1, ::-1][:, lanes]
-    b = np.arange(len(centre))[:, None, None]
+    b = np.arange(betas)[:, None, None]
     lane = np.arange(centre.shape[1])[:, None]
-    offsets = np.arange(-_GLUE_HALF_WIDTH, _GLUE_HALF_WIDTH + 1)
-    window = np.minimum(np.maximum(centre[..., None] + offsets, 0), n - 1)
-    joint = lu[b, lane, window]
-    joint += ld[b, lane, window]
-    p = window[b, lane, np.argmax(joint, axis=2)[..., None]]
+    # the window's distinct entries lo..lo + span, the last repeated up to a fixed width:
+    # a repeat is never a first maximum.  Flat indices of each lane's entry lo and of the
+    # same m' on its mirror row, read backwards
+    lo = np.maximum(centre - _GLUE_HALF_WIDTH, 0)
+    span = np.minimum(centre + _GLUE_HALF_WIDTH, n - 1) - lo
+    k = np.minimum(np.arange(min(2 * _GLUE_HALF_WIDTH + 1, n)), span[..., None])
+    starts = np.arange(0, logmag.size, n).reshape(betas, rows)
+    up = starts[:, lanes] + lo
+    down = starts[:, ::-1][:, lanes] + (n - 1) - lo
+    joint = logmag.take(up[..., None] + k)
+    joint += logmag.take(down[..., None] - k)
+    p = (lo + np.argmax(joint, axis=2))[..., None]
     upper = np.arange(n) > p
     np.copyto(out, lu)
     np.add(ld, lu[b, lane, p] - ld[b, lane, p], out=out, where=upper)
@@ -411,18 +421,23 @@ def _columns(tj: int, tms, betas) -> np.ndarray:
 def _column_blocks(tj: int, tms: np.ndarray, betas: list):
     """Yield (beta slice, m slice, columns) covering every (beta, m) pair in order.
 
-    A block is a run of whole betas when one beta's columns fit in
-    LANE_BUDGET lane-elements, else a run of m values at one beta, so the
-    kernel's working set stays bounded whatever the grid.  A lane costs its
-    column length, or the glue window when that is longer.
+    The kernel runs one row per beta and m of the closure of a block's m under
+    m -> -m, each at most a column long.  A block holds at most _BLOCK_ROWS rows
+    and LANE_BUDGET row-elements: a run of whole betas when one beta's rows fit,
+    else runs of m at one beta, each as long as its rows fit (a lone m always runs).
     """
-    cap = max(1, LANE_BUDGET // max(tj + 1, 2 * _GLUE_HALF_WIDTH + 1))
-    m_step = min(len(tms), cap)
-    b_step = max(1, cap // len(tms))
+    cap = max(1, min(_BLOCK_ROWS, LANE_BUDGET // (tj + 1)))
+    runs, start, closure = [], 0, set()
+    for k, tm in enumerate(tms.tolist()):
+        closure.update((tm, -tm))
+        if len(closure) > cap and k > start:
+            runs.append(slice(start, k))
+            start, closure = k, {tm, -tm}
+    runs.append(slice(start, len(tms)))
+    b_step = max(1, cap // len(closure)) if len(runs) == 1 else 1
     for b in range(0, len(betas), b_step):
-        for m in range(0, len(tms), m_step):
-            yield (slice(b, b + b_step), slice(m, m + m_step),
-                   _columns(tj, tms[m:m + m_step], betas[b:b + b_step]))
+        for m in runs:
+            yield slice(b, b + b_step), m, _columns(tj, tms[m], betas[b:b + b_step])
 
 
 def wigner_d_column(j: SpinJ, m_in: SpinProjection, beta: float) -> WignerColumn:
@@ -460,10 +475,15 @@ def _rotated(state: SpinState, betas) -> np.ndarray:
     tms = state.twice_m_values()
     nonzero = np.flatnonzero(state.amplitudes != 0.0)
     out = np.zeros((len(betas), state.j.dim), dtype=complex)
+    # i^{m-m'} = e^{i pi (m-m')/2}; m-m' is the integer index difference, so this is exact.
+    # Row r of phases, i^{r-m'} over m', serves every index i = r mod 4: the four rows
+    # are windows of one run of i^{3-k}, k = 0, 1, ..., starting at k = 3 - r
+    cycle = np.empty((len(tms) // 4 + 2, 4), complex)
+    cycle[:] = _I_POWERS[::-1]
+    phases = np.ndarray((4, len(tms)), complex, cycle, 0, cycle.strides[1:] * 2)[::-1]
     for b, ms, cols in _column_blocks(state.j.twice_j, tms[nonzero], betas):
-        # i^{m-m'} = e^{i pi (m-m')/2}; m-m' is the integer index difference, so this is exact
         i = nonzero[ms]
-        weights = state.amplitudes[i, None] * _I_POWERS[(i[:, None] - np.arange(len(tms))) % 4]
+        weights = state.amplitudes[i, None] * phases[i % 4]
         for term in (weights * cols).transpose(1, 0, 2):  # summed in m order, as the bits require
             out[b] += term
     out[np.abs(out) < _FLUSH] = 0.0

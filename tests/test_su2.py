@@ -24,6 +24,8 @@ from fockport import (
     WignerColumn,
     basis_state,
     brute_force_rotation,
+    figure_dataset,
+    find_beta_q_numeric,
     phase_shift,
     resources_for_kind,
     rotate_about_x,
@@ -33,6 +35,7 @@ from fockport import (
 )
 from fockport import errors, su2
 
+import two_branch_kernel
 from conftest import dmat_expm, mp_d, mp_recurrence_column, random_state_vector, rot_expm
 
 PI = math.pi
@@ -737,9 +740,10 @@ class TestBatchedKernel:
             assert same_bits(rotated.amplitudes, reference_rotate(state, beta))
 
     def test_dense_rotation_matches_reference(self, rng):
-        # N = 300 holds more lane-elements than one kernel block
-        state = SpinState(SpinJ(300), random_state_vector(rng, 301))
-        assert 301 * 301 > su2.LANE_BUDGET
+        # N + 1 rows of N + 1 entries hold more row-elements than one kernel block
+        N = math.isqrt(su2.LANE_BUDGET)
+        state = SpinState(SpinJ(N), random_state_vector(rng, N + 1))
+        assert (N + 1) * (N + 1) > su2.LANE_BUDGET
         assert same_bits(rotate_about_x(state, 1.3).amplitudes, reference_rotate(state, 1.3))
 
     @pytest.mark.parametrize("twice_j", [4, 21, 120])
@@ -799,6 +803,25 @@ class TestBatchedKernel:
             tracemalloc.stop()
         assert peak < 6.0e6, peak
 
+    def test_blocks_stay_near_their_memory(self, rng):
+        # figure 1 runs 181 angles of 21 rows in blocks of at most _BLOCK_ROWS rows, below
+        # figure 4's N = 20000 column; a dense N = 300 rotation at one angle runs one
+        # block of 301 rows, about 3.8 MB
+        state = SpinState(SpinJ(300), random_state_vector(rng, 301))
+        peaks = {}
+        for name, run in [("figure 1", lambda: figure_dataset(1)),
+                          ("figure 4", lambda: figure_dataset(4)),
+                          ("dense N = 300", lambda: rotate_about_x(state, 1.0))]:
+            run()  # warm numpy up
+            tracemalloc.start()
+            try:
+                run()
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["figure 1"] < peaks["figure 4"], peaks
+        assert peaks["dense N = 300"] < 4.5e6, peaks
+
     def test_empty_grid(self):
         assert rotate_about_x_grid(basis_state(SpinJ(4), SpinProjection(0)), []) == []
 
@@ -847,6 +870,84 @@ class TestBatchedKernel:
             assert stop == min(max(up, down), n)
         want = np.array([[reference_d_column(twice_j, tm, b) for tm in twice_ms] for b in betas])
         assert same_bits(got, want)
+
+    @staticmethod
+    def kernel_blocks(monkeypatch):
+        """(rows, row length) of every kernel call from here on, the closure counted."""
+        shapes = []
+        recurrence = su2._recurrence
+
+        def spy(A, B, seeds, stops):
+            shapes.append(A.shape)
+            return recurrence(A, B, seeds, stops)
+
+        monkeypatch.setattr(su2, "_recurrence", spy)
+        return shapes
+
+    def test_dense_rotation_at_one_angle_runs_one_block(self, monkeypatch, rng):
+        state = SpinState(SpinJ(300), random_state_vector(rng, 301))
+        shapes = self.kernel_blocks(monkeypatch)
+        rotate_about_x(state, 1.0)
+        assert [rows for rows, _ in shapes] == [301]
+
+    def test_angle_search_runs_one_block(self, monkeypatch):
+        # 180 angles in (0, pi/2] of one m = 0 row each
+        shapes = self.kernel_blocks(monkeypatch)
+        find_beta_q_numeric(200, "j0", "min_modulus")
+        assert [rows for rows, _ in shapes] == [180]
+
+    def test_dense_rotation_past_the_budget_splits_within_it(self, monkeypatch, rng):
+        # 601 rows of up to 601 entries exceed LANE_BUDGET: runs of m whose closures fit,
+        # the run across m = 0 holding its own mirrors
+        state = SpinState(SpinJ(600), random_state_vector(rng, 601))
+        shapes = self.kernel_blocks(monkeypatch)
+        rotate_about_x(state, 1.0)
+        assert [rows for rows, _ in shapes] == [218, 218, 217, 218, 166]
+        assert all(rows * width <= su2.LANE_BUDGET for rows, width in shapes), shapes
+
+    @pytest.mark.parametrize("n", [*range(1, 46), 61])
+    @pytest.mark.parametrize("contiguous", [True, False], ids=["slice", "list"])
+    def test_glue_point_is_that_of_the_clamped_window(self, rng, n, contiguous):
+        # tests/two_branch_kernel.py's glue reads a 41-entry window clamped into the row;
+        # su2._glue reads its distinct entries only.  Lane kinds: random branches, a zero
+        # (-inf) up, down or joint window, and NaN in the window or across a branch
+        centres = sorted({c for c in (0, 1, 19, 20, 21, n - 2, n - 1) if 0 <= c < n})
+        kinds = ["random", "zero up", "zero down", "zero both", "nan up", "nan down", "nan row"]
+        cases = list(itertools.product(centres, kinds))
+        L, betas = len(cases), 2
+        rows = 2 * L  # lane k's up branch is row lanes[k], its mirror's row 2L - 1 - lanes[k]
+        lanes = slice(0, L) if contiguous else list(range(0, rows, 2))
+        ups = np.arange(rows)[lanes]
+        logmag = rng.uniform(-30.0, 5.0, (betas, rows, n))
+        sgn = rng.choice([-1.0, 1.0], (betas, rows, n))
+        centre = np.empty((betas, L), np.intp)
+        for b in range(betas):
+            for k, (c, kind) in enumerate(cases):
+                c = centre[b, k] = (c + b) % n  # both betas, at other centres
+                window = slice(max(c - 20, 0), min(c + 20, n - 1) + 1)
+                up, down = logmag[b, ups[k]], logmag[b, rows - 1 - ups[k], ::-1]
+                if kind in ("zero up", "zero both"):
+                    up[window] = -math.inf
+                if kind in ("zero down", "zero both"):
+                    down[window] = -math.inf
+                if kind == "nan up":
+                    up[min(c + 3, n - 1)] = math.nan
+                if kind == "nan down":
+                    down[max(c - 3, 0)] = math.nan
+                if kind == "nan row":
+                    up[:] = math.nan
+        sgn[np.isneginf(logmag)] = 0.0
+        got = np.empty((betas, L, n))
+        with np.errstate(all="ignore"):
+            su2._glue(sgn.copy(), logmag.copy(), lanes, centre, got)
+            for b in range(betas):
+                # the two-branch glue's down rows run from m' = +j with the sign (-1)^k
+                mirror = rows - 1 - ups
+                flip = np.where(np.arange(n) % 2 == 1, -1.0, 1.0)
+                want = two_branch_kernel._glue(
+                    np.concatenate([sgn[b, ups], sgn[b, mirror] * flip]),
+                    np.concatenate([logmag[b, ups], logmag[b, mirror]]), centre[b])
+                assert same_bits(got[b], want), (n, b)
 
     @pytest.mark.parametrize("cpu_features", [None, "X86_V4 AVX512_ICL AVX512_SPR"],
                              ids=["default", "no-avx512"])
