@@ -243,8 +243,8 @@ def _recurrence_scalar(A, B, seed: float) -> array:
     """One lane of _recurrence_batched in Python floats; same operations, same order."""
     w = array("d", [seed])
     push, big, tiny, neg_big, neg_tiny = w.append, _BIG, _TINY, -_BIG, -_TINY
-    prev, cur = 0.0, seed
-    for a_prev, a, b in zip(A, A[1:], B):
+    prev, cur, a_prev = 0.0, seed, A[0]  # a_prev rotates with prev, cur: one stream read per step
+    for a, b in zip(A[1:], B):
         nxt = (b * cur - a_prev * prev) / a
         # tiny <= abs(nxt) <= big without the call; +-0.0 and NaN fail both, and are not rescaled
         if not (tiny <= nxt <= big or neg_big <= nxt <= neg_tiny):
@@ -258,7 +258,7 @@ def _recurrence_scalar(A, B, seed: float) -> array:
                 cur *= big
                 w[-1], B[len(w) - 1] = cur, -math.inf
         push(nxt)
-        prev, cur = cur, nxt
+        prev, cur, a_prev = cur, nxt, a
     return w
 
 
@@ -342,37 +342,37 @@ def _recurrence_columns(tj: int, tms: np.ndarray, betas, out: np.ndarray):
     lanes = [at[tm] for tm in tms.tolist()]
     if lanes == list(range(lanes[0], lanes[0] + len(lanes))):
         lanes = slice(lanes[0], lanes[0] + len(lanes))  # rows read as views, not copies
-    trig = np.array([(math.sin(b), math.cos(b), math.cos(b / 2.0), math.sin(b / 2.0))
-                     for b in betas])
-    sb, cb, ch, sh = np.repeat(trig, len(ms), axis=0).T
-    tm = np.array(ms * len(betas))
+    # values of one beta are a column [beta, 1], of one m a row [m]: each is computed
+    # once and broadcast to the [beta, m] grid of rows
+    sb, cb, ch, sh = np.array([(math.sin(b), math.cos(b), math.cos(b / 2.0), math.sin(b / 2.0))
+                               for b in betas]).T[..., None]
+    tm = np.array(ms)
     m = tm / 2.0
 
     # a row runs one entry past the glue window centre +- _GLUE_HALF_WIDTH of lane m
     # and, read backwards, of lane -m: the step computing that entry can still
     # rescale the last one the glue reads
-    centre = np.rint(j + m * cb).astype(np.intp).reshape(len(betas), len(ms))
+    centre = np.rint(j + m * cb).astype(np.intp)
     reach = np.maximum(centre, n - 1 - centre[:, ::-1])
     stops = np.minimum(reach + _GLUE_HALF_WIDTH + 2, n).ravel()
     # every row is built and transformed only as far as the longest of them runs
-    rows = len(tm)
+    rows = len(stops)
     width = int(stops.max())
     mp = np.arange(width, dtype=float) - j
 
     # recurrence: A[i] v[i+1] = B[i] v[i] - A[i-1] v[i-1], one row per (beta, m)
     # from m' = -j.  Column 0 of A is the zero before v[0].
     A = np.zeros((rows, width))
-    np.multiply(sb[:, None], np.sqrt((j - mp[:-1]) * (j + mp[:-1] + 1.0)), out=A[:, 1:])
-    B = np.multiply(mp, cb[:, None])
-    np.subtract(m[:, None], B, out=B)
+    np.multiply(sb[..., None], np.sqrt((j - mp[:-1]) * (j + mp[:-1] + 1.0)),
+                out=A.reshape(len(betas), len(ms), width)[..., 1:])
+    B = np.multiply(mp, cb[..., None], out=np.empty((len(betas), len(ms), width)))
+    B = np.subtract(m[:, None], B, out=B).reshape(rows, width)  # in place: no temporary
     B *= 2.0
 
-    # endpoint sign of d_{-j,m} = C ch^{j-m} sh^{j+m}, C > 0
-    odd_lo = (tj - tm) // 2 % 2 == 1
-    odd_hi = (tj + tm) // 2 % 2 == 1
-    sgn_ch = np.where(ch >= 0, 1.0, -1.0)
-    sgn_sh = np.where(sh >= 0, 1.0, -1.0)
-    sgn_bot = np.where(odd_lo, sgn_ch, 1.0) * np.where(odd_hi, sgn_sh, 1.0)
+    # endpoint sign of d_{-j,m} = C ch^{j-m} sh^{j+m}, C > 0; j -+ m is odd where
+    # bit 1 of the even tj -+ tm is set
+    sgn_bot = (np.where((tj - tm) & 2, np.where(ch >= 0, 1.0, -1.0), 1.0)
+               * np.where((tj + tm) & 2, np.where(sh >= 0, 1.0, -1.0), 1.0)).ravel()
 
     w = _recurrence(A, B, sgn_bot, stops)
     del A  # free the coefficients before the tail allocates

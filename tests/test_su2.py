@@ -905,6 +905,30 @@ class TestBatchedKernel:
         assert [rows for rows, _ in shapes] == [218, 218, 217, 218, 166]
         assert all(rows * width <= su2.LANE_BUDGET for rows, width in shapes), shapes
 
+    def test_long_column_runs_a_pinned_number_of_steps(self, monkeypatch):
+        # kernel work as a count, whatever the host's speed: the rows of m = -1233 and
+        # m = 1233 each run alone to one entry past the glue window of the lane that reads
+        # them, 100,041 steps in all where a full branch pair would run 199,998
+        entries = []
+        scalar = su2._recurrence_scalar
+
+        def spy(A, B, seed):
+            entries.append(len(A))
+            return scalar(A, B, seed)
+
+        monkeypatch.setattr(su2, "_recurrence_scalar", spy)
+        wigner_d_column(SpinJ(99999), SpinProjection(1233), 1.234)
+        assert entries == [49818, 50225]
+        assert sum(n - 1 for n in entries) == 100041
+
+    def test_dense_block_runs_a_pinned_number_of_row_entries(self, monkeypatch, rng):
+        # a dense twice_j = 120 rotation runs one batched block of 121 rows, each to the
+        # block's furthest stop, 104 of 121 entries: 12,584 row-entries
+        state = SpinState(SpinJ(120), random_state_vector(rng, 121))
+        shapes = self.kernel_blocks(monkeypatch)
+        rotate_about_x(state, 1.2)
+        assert shapes == [(121, 104)]
+
     @pytest.mark.parametrize("n", [*range(1, 46), 61])
     @pytest.mark.parametrize("contiguous", [True, False], ids=["slice", "list"])
     def test_glue_point_is_that_of_the_clamped_window(self, rng, n, contiguous):
