@@ -35,11 +35,26 @@ from .teleport import _evaluate, _mean_fidelity
 # %g text of a non-finite float -> what json writes for it
 _JSON_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
-_MISSING = object()  # a cell past the end of a short row; no table cell is a bare object
+
+def _runs(block: list, kinds: list):
+    """(first cell, rows, cells per row) of each run of rows with one tuple of cell types, given
+    a block of rows and the types of its cells in row order; rows of unequal length run alone."""
+    rows, width = len(block), len(block[0])
+    if operator.countOf(map(len, block), width) != rows:
+        lengths = list(map(len, block))
+        return zip(itertools.accumulate(lengths, initial=0), itertools.repeat(1), lengths)
+    cuts = {0, rows}  # a run ends where the cell type of any column changes
+    for c in range(width):
+        column = kinds[c::width]
+        if column.count(column[0]) != rows:
+            changes = map(operator.ne, column, column[1:])
+            cuts.update(itertools.compress(itertools.count(1), changes))
+    cuts = sorted(cuts)
+    return zip([a * width for a in cuts], map(operator.sub, cuts[1:], cuts), itertools.repeat(width))
 
 
 class _RowRenderer:
-    """Renders table rows a block at a time through one % template per tuple of cell types.
+    """Renders table rows a block at a time through one % template per run of rows.
 
     CSV (no keys): a line of %d for integers, %.{precision}g for floats, %s for
     any other cell and nothing for None.  JSON (the column names as keys): an
@@ -47,11 +62,16 @@ class _RowRenderer:
     text converted once: integers as %d, strings escaped as json escapes them,
     any other cell rounded through %.{precision}g and written as json writes it.
 
-    A block of up to BLOCK_ROWS rows is written by one %.  Its template is the
-    row template of each run of rows with one tuple of cell types, repeated
-    once per row of the run.  The cell types are read per column, a short
-    row's missing cells as the type of _MISSING, so a run also ends where the
-    row length changes; they are read per row only where a run starts.
+    A block of up to BLOCK_ROWS rows is written by one % over its cells (CSV)
+    or their texts (JSON) in row order.  Its template is the row template of
+    each run of rows with one tuple of cell types, repeated once per row of the
+    run.  The cell types are read in one pass over the flat tuple of the
+    block's cells, and compared a column at a time on strided slices of that
+    list; a block whose rows differ in length is cut into runs row by row.  A
+    column that holds one object over a run of two or more rows is formatted
+    once into that run's template and takes no arguments.  Only a column whose
+    first and last cells in the run are one object is read in full, and by
+    identity: 0.0 == -0.0, yet the two are written apart.
     """
 
     BLOCK_ROWS = 1024
@@ -71,25 +91,41 @@ class _RowRenderer:
 
     def _render(self, block: list) -> str:
         """The text of a non-empty list of row tuples, by one %."""
-        columns = list(itertools.zip_longest(*block, fillvalue=_MISSING))
-        cuts = {0, len(block)}  # a run ends where the cell type of any column changes
-        for column in columns:
-            kinds = list(map(type, column))
-            if kinds.count(kinds[0]) != len(kinds):
-                changes = map(operator.ne, kinds, kinds[1:])
-                cuts.update(itertools.compress(itertools.count(1), changes))
-        cuts = sorted(cuts)
-        templates, args = [], []
-        for a, b in zip(cuts, cuts[1:]):
-            key = tuple(map(type, block[a]))
+        flat = tuple(itertools.chain.from_iterable(block))
+        kinds = list(map(type, flat))
+        csv = self.keys is None
+        templates, args = [], None if csv else []  # CSV args stay None while they are flat
+        for first, rows, width in _runs(block, kinds):
+            stop = first + rows * width
+            key = tuple(kinds[first:first + width])
             if key not in self.templates:
                 self.templates[key] = self._build(key)
-            template, fill = self.templates[key]
-            templates.append(self.sep.join(itertools.repeat(template, b - a)))
-            if fill is not None:
-                args.append(fill(columns if b - a == len(block) else [c[a:b] for c in columns]))
-        rows = block if self.keys is None else itertools.chain.from_iterable(args)
-        return self.sep.join(templates) % tuple(itertools.chain.from_iterable(rows))
+            template, pieces, converts = self.templates[key]
+            constant = None
+            if rows > 1:
+                constant = {}
+                for c in converts:
+                    cell = flat[first + c]
+                    if cell is flat[stop - width + c] and all(
+                            map(operator.is_, flat[first + c:stop:width], itertools.repeat(cell))):
+                        text, = converts[c]((cell,))
+                        constant[c] = (pieces[c] % (text,)).replace("%", "%%")
+                if constant:
+                    template = self._row([constant.get(c, p) for c, p in enumerate(pieces)])
+                    converts = {c: f for c, f in converts.items() if c not in constant}
+                template = self.sep.join(itertools.repeat(template, rows))
+            templates.append(template)
+            if csv and not constant:
+                if args is not None:
+                    args += flat[first:stop]
+            else:  # the arguments of the other columns, interleaved into row order
+                if args is None:
+                    args = list(flat[:first])
+                cells = [None] * (rows * len(converts))
+                for i, (c, convert) in enumerate(converts.items()):
+                    cells[i::len(converts)] = convert(flat[first + c:stop:width])
+                args += cells
+        return self.sep.join(templates) % (flat if args is None else tuple(args))
 
     def _number(self, value) -> str:
         text = self.g % value
@@ -108,27 +144,30 @@ class _RowRenderer:
                 return [t if "." in t or "e" in t else t + ".0" for t in text[:-1].split(",")]
         return list(map(self._number, column))
 
+    def _row(self, pieces) -> str:
+        """The row template of the texts of its cells."""
+        if self.keys is None:
+            return ",".join(pieces) + "\n"
+        return "{\n      " + ",\n      ".join(pieces) + "\n    }" if pieces else "{}"
+
     def _build(self, types):
-        """(template, fill): fill maps a run's columns to its rows of arguments; None for CSV."""
+        """(row template, the text of each cell in it, {column: map from a column tuple to its
+        arguments} for each cell that takes arguments, which for CSV are the cells themselves)."""
         kinds = [None if t is type(None) else int if issubclass(t, (int, np.integer)) else
                  float if issubclass(t, float) else str if issubclass(t, str) else object
                  for t in types]
         if self.keys is None:
             slots = {None: "%.0s", int: "%d", float: self.g, str: "%s", object: "%s"}
-            return ",".join(slots[kind] for kind in kinds) + "\n", None
+            pieces = [slots[kind] for kind in kinds]
+            return self._row(pieces), pieces, dict.fromkeys(range(len(kinds)), tuple)
         kinds = kinds[:len(self.keys)]
         to_text = {int: functools.partial(map, "%d".__mod__),
                    str: functools.partial(map, encode_basestring_ascii),
                    float: self._numbers, object: functools.partial(map, self._number)}
-        items = [encode_basestring_ascii(key).replace("%", "%%") + (": %s" if kind else ": null")
-                 for key, kind in zip(self.keys, kinds)]
-        template = "{\n      " + ",\n      ".join(items) + "\n    }" if items else "{}"
-        cells = [(i, to_text[kind]) for i, kind in enumerate(kinds) if kind]
-
-        def fill(columns):
-            return zip(*[convert(columns[i]) for i, convert in cells])
-
-        return template, fill
+        pieces = [encode_basestring_ascii(key).replace("%", "%%") + (": %s" if kind else ": null")
+                  for key, kind in zip(self.keys, kinds)]
+        converts = {c: to_text[kind] for c, kind in enumerate(kinds) if kind}
+        return self._row(pieces), pieces, converts
 
 
 def write_csv(stream, columns, rows, precision: int):
@@ -183,7 +222,7 @@ def _amplitude(entry) -> complex:
 def _parsed(path: str, kind: str, parse):
     """parse(text of the file at path); text that is not UTF-8 or not parsable is a usage error
     that names the file's kind and path."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return parse(fh.read())
         except RecursionError:

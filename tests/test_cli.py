@@ -729,3 +729,24 @@ def test_unparsable_file_is_usage_error_naming_it(capsys, tmp_path, command, kin
     assert out == ""
     assert err.startswith(f"fockport: error: {kind} {_shown(str(path))} cannot be parsed: "), err
     assert err.count("\n") == 1, err
+
+
+def test_files_are_read_as_utf8_under_a_non_utf8_locale(capsys, tmp_path):
+    # under LC_ALL=C without UTF-8 mode the locale encoding is ASCII; spec and state files
+    # are UTF-8 whatever the locale, and bytes that are not UTF-8 stay a usage error
+    spec = tmp_path / "beta.spec"
+    spec.write_text("# sweep over β\n" + SPEC_TEXT, encoding="utf-8")
+    bad = tmp_path / "bad.spec"
+    bad.write_bytes(b"\xff\xfe")
+    src = str(Path(fockport.__file__).resolve().parents[1])
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONIOENCODING", None)
+    runs = [subprocess.run([sys.executable, "-m", "fockport.cli", "sweep", "--spec-file", str(path)],
+                           env=env, capture_output=True, text=True, timeout=60)
+            for path in (spec, bad)]
+    assert runs[0].returncode == 0, runs[0].stderr
+    assert runs[0].stdout == run_cli(capsys, ["sweep", "--spec-file", str(spec)])[1]
+    assert runs[1].returncode == 2
+    assert runs[1].stderr.startswith(f"fockport: error: spec file {_shown(str(bad))} cannot be "
+                                     "parsed: 'utf-8' codec can't decode byte 0xff"), runs[1].stderr

@@ -129,6 +129,24 @@ def _typed_cells(count):
     return [cells[i * 2 // count](i) for i in range(count)]
 
 
+def _figure_4_shape(sizes=(201, 2 * B + 1, B + 3)):
+    """Runs of rows whose first two cells are one int and one float object, as figure 4's N and
+    beta_deg are, each run ending inside a block and the longest spanning three."""
+    rows = []
+    for size in sizes:
+        n, beta = 10 ** 6 + size, 90.0 / (size + 0.5)
+        rows += [(n, beta, k, 1.0 / (k + 1)) for k in range(size)]
+    return rows
+
+
+def _constant(cell, count=B + 2, changes=()):
+    """count rows whose second cell is the one object cell, but at the rows in changes."""
+    return _with([(i, cell, i / 3, 0.5) for i in range(count)],
+                 {i: (i, other, i / 3, 0.5) for i, other in changes})
+
+
+_ZERO, _NAN, _TEXT = 0.0, math.nan, '50% "q" %s'
+
 BLOCK_TABLES = {
     **{f"{count} rows": (COLUMNS, _uniform(count)) for count in (0, 1, B - 1, B, B + 1, 2 * B + 1)},
     **{f"type change at row {i}": (COLUMNS, _with(_uniform(2 * B), {i: (float(i), 0.5, 1, "x")}))
@@ -145,6 +163,21 @@ BLOCK_TABLES = {
     "trailing average row": (COLUMNS, [(q, 1.0 - q / 7e3, 1.0, 1.0 / (q + 2)) for q in range(B + 1)]
                              + [("average", 0.987654321, None, None)]),
     "bool and numpy cells": (COLUMNS, _typed_cells(B + 3)),
+    # a column that holds one object over a run is formatted once into the run's template
+    "constant int and float columns over blocks": (COLUMNS, _figure_4_shape()),
+    "equal floats, distinct objects": (COLUMNS, [(i, float("2.5"), float("-0.0"), i / 3)
+                                                 for i in range(B + 2)]),
+    "zeros with one negative zero": (COLUMNS, _constant(_ZERO, changes=[(600, -_ZERO)])),
+    "one nan object": (COLUMNS, _constant(_NAN)),
+    "distinct nans": (COLUMNS, [(i, float("nan"), i / 3, 0.5) for i in range(B + 2)]),
+    "constant None column": (COLUMNS, _constant(None)),
+    "constant text with % and quotes": (COLUMNS, _constant(_TEXT)),
+    "same first and last cell, other cells between": (COLUMNS, _constant(
+        0.25, count=B, changes=[(i, 0.75) for i in range(300, 320)])),
+    "constant column split by a type change": (COLUMNS, _constant(
+        _ZERO, changes=[(i, 7) for i in range(500, B + 2)])),
+    "constant column across a run cut": (COLUMNS, _with(_constant(_TEXT), {
+        400: (400, _TEXT, None, 0.5)})),
 }
 
 
@@ -161,6 +194,36 @@ def test_blocks_match_reference(table, fmt, precision):
         write_json(got, META, columns, iter(rows), precision)
         reference_write_json(want, META, columns, rows, precision)
     assert got.getvalue() == want.getvalue()
+
+
+class _Counted:
+    """A cell written as %s by CSV and through float() by JSON; counts both."""
+    calls = 0
+
+    def __str__(self):
+        _Counted.calls += 1
+        return "counted"
+
+    def __float__(self):
+        _Counted.calls += 1
+        return 0.5
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_constant_column_is_formatted_once_per_run(fmt):
+    # three blocks, each one run; the counted column is one object throughout, the q column not
+    cell = _Counted()
+    rows = [(i, cell) for i in range(2 * B + 5)]
+    got, want = io.StringIO(), io.StringIO()
+    _Counted.calls = 0
+    if fmt == "csv":
+        write_csv(got, ("q", "x"), rows, 12)
+        reference_write_csv(want, ("q", "x"), rows, 12)
+    else:
+        write_json(got, {}, ("q", "x"), rows, 12)
+        reference_write_json(want, {}, ("q", "x"), rows, 12)
+    assert got.getvalue() == want.getvalue()
+    assert _Counted.calls == 3 + len(rows)  # once per block, then once per row by the reference
 
 
 # JSON float columns are converted a column at a time where every %g text is its own repr
