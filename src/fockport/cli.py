@@ -5,7 +5,7 @@ boundary; all library internals work in radians.  Output is CSV (header
 row, LF endings) or a single JSON document {"meta": ..., "rows": ...};
 both carry the same numeric values at the configured precision.
 
-Exit codes: 0 success, 2 usage error, 3 domain/numeric error.
+Exit codes: 0 success, 1 stdout closed early (`| head`), 2 usage error, 3 domain/numeric error.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 import operator
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -27,8 +28,8 @@ from .errors import DomainError, _check_real, _shown
 from .quasi_epr import phase_distribution, resource_from_state
 from .states import coherent_coefficients
 from .su2 import SpinJ, SpinProjection, SpinState, basis_state, rotate_about_x
-from .sweep import (RESOURCE_KINDS, BetaGrid, SweepResult, SweepSpec,
-                    figure_dataset, resource_for_kind, run_sweep, stamp)
+from .sweep import (RESOURCE_KINDS, BetaGrid, SweepResult, SweepSpec, _figure_table,
+                    _sweep_table, resource_for_kind, stamp)
 from .teleport import _evaluate, _mean_fidelity
 
 
@@ -189,12 +190,15 @@ def write_json(stream, meta, columns, rows, precision: int):
 def _emit(args, result: SweepResult) -> int:
     if args.timestamp:
         result = stamp(result)
+    # the first row is computed before any output: an error up to it leaves --output as it was
+    rows = iter(result.rows)
+    rows = itertools.chain(list(itertools.islice(rows, 1)), rows)
     out = open(args.output, "w", newline="") if args.output != "-" else sys.stdout
     try:
         if args.format == "csv":
-            write_csv(out, result.columns, result.rows, args.precision)
+            write_csv(out, result.columns, rows, args.precision)
         else:
-            write_json(out, result.meta, result.columns, result.rows, args.precision)
+            write_json(out, result.meta, result.columns, rows, args.precision)
     finally:
         if out is not sys.stdout:
             out.close()
@@ -277,7 +281,7 @@ def cmd_teleport(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    return _emit(args, figure_dataset(args.id))
+    return _emit(args, _figure_table(args.id))
 
 
 def _parse_spec_text(text: str) -> dict:
@@ -352,7 +356,7 @@ def _spec_from_mapping(raw: dict) -> SweepSpec:
 
 def cmd_sweep(args) -> int:
     spec = _spec_from_mapping(_parsed(args.spec_file, "spec file", _parse_spec_text))
-    return _emit(args, run_sweep(spec))
+    return _emit(args, _sweep_table(spec))
 
 
 def _precision(text: str) -> int:
@@ -440,9 +444,14 @@ def main(argv=None) -> int:
         if args.command == "teleport" and args.beta_deg is None \
                 and args.resource != "ideal":
             parser.error(f"--beta-deg is required for resource {args.resource!r}")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter shutdown
+        return code
     except SystemExit as exc:
         return int(exc.code or 0)
+    except BrokenPipeError:  # the reader left, as `| head` does; shutdown flushes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except DomainError as exc:
         print(f"fockport: error: {exc}", file=sys.stderr)
         return 3

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -31,6 +31,9 @@ _DEFAULT_STEP = math.radians(0.5)
 MAX_GRID_POINTS = 18001
 
 RESOURCE_KINDS = ("j0", "2pt", "3pt", "4pt", "ideal", "relative-phase-input")
+
+_SWEEP_COLUMNS = ("beta_deg", "q", "fidelity", "bound", "probability",
+                  "min_modulus", "zero_count", "flatness", "entropy")
 
 # filter level (doubled) behind each beam-splitter resource kind
 _KIND_LEVEL = {"j0": 0, "2pt": 1, "3pt": 2, "4pt": 3}
@@ -164,22 +167,31 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     count = grid size x outcome count; unreachable outcomes carry fidelity
     None and probability 0.
     """
+    table = _sweep_table(spec)
+    return replace(table, rows=list(table.rows))
+
+
+def _sweep_table(spec: SweepSpec) -> SweepResult:
+    """run_sweep's result with its rows as an iterator, computed as they are read."""
     spec.validate()
+    meta = {"kind": "sweep", "spec": spec.echo(), "version": __version__}
+    return SweepResult(_SWEEP_COLUMNS, itertools.chain.from_iterable(_sweep_rows(spec)), meta)
+
+
+def _sweep_rows(spec: SweepSpec, qualities: bool = True):
+    """A list of the valid spec's rows per angle, a block of angles at a time; without
+    qualities, only their first five cells, and no quality is computed."""
     N = int(spec.N)  # a numpy unsigned N would wrap in N + k_max
     target = coherent_coefficients(spec.alpha)
     qs = (range(N + target.k_max + 1) if spec.q_list == "all" else
           [int(q) for q in spec.q_list])
-    betas = spec.beta_grid.values()
-    rows = []
-    for angles, block in _grid_blocks(spec.resource_kind, N, betas):
+    for angles, block in _grid_blocks(spec.resource_kind, N, spec.beta_grid.values()):
         outcomes = list(_evaluate(target, block, qs, spec.parity_correction))
-        for i, (deg, rep) in enumerate(zip(map(math.degrees, angles), _qualities(block))):
-            rows.extend((deg, q, f[i], bound, p[i], rep.min_modulus, rep.zero_count,
-                         rep.flatness, rep.entropy) for q, f, bound, p in outcomes)
-    columns = ("beta_deg", "q", "fidelity", "bound", "probability",
-               "min_modulus", "zero_count", "flatness", "entropy")
-    meta = {"kind": "sweep", "spec": spec.echo(), "version": __version__}
-    return SweepResult(columns, rows, meta)
+        tails = ([(r.min_modulus, r.zero_count, r.flatness, r.entropy) for r in _qualities(block)]
+                 if qualities else [()] * len(angles))
+        for i, (deg, tail) in enumerate(zip(map(math.degrees, angles), tails)):
+            yield [(deg, q, f[i], bound, p[i]) + tail for q, f, bound, p in outcomes]
+        del outcomes  # before the next block is computed: one block's outcomes at a time
 
 
 def find_beta_q_numeric(N: int, resource_kind: str = "j0",
@@ -231,16 +243,14 @@ def _worst_fidelities(target, s, qs) -> list:
 
 
 def _modulus_rows(kind: str, N: int, betas, with_phase: bool = False, lead: tuple = ()):
-    """(*lead, beta_deg, n, modulus[, phase]) rows of the resources at each angle."""
-    rows = []
+    """An iterator of the (*lead, beta_deg, n, modulus[, phase]) rows of the resource per angle."""
     for angles, block in _grid_blocks(kind, N, betas):
         for beta, s, mods in zip(angles, block, np.abs(block).tolist()):
             cells = [mods]
             if with_phase:
                 cells.append(phase_distribution(QuasiEprResource(N, s)).tolist())
             fixed = map(itertools.repeat, lead + (math.degrees(beta),))
-            rows.extend(zip(*fixed, range(N + 1), *cells))
-    return rows
+            yield zip(*fixed, range(N + 1), *cells)
 
 
 _QUARTER_TURN = BetaGrid(0.0, math.pi / 2).values()
@@ -273,27 +283,33 @@ def figure_dataset(figure_id: int) -> SweepResult:
     7: fidelity/bound/probability vs beta at q=19, level-0, N=20, alpha=3,
        parity correction on.
     """
+    table = _figure_table(figure_id)
+    return replace(table, rows=list(table.rows))
+
+
+def _figure_table(figure_id: int) -> SweepResult:
+    """figure_dataset's result with its rows as an iterator, computed as they are read."""
     figure_id = _check_count(figure_id, "figure_id", 1)
     meta = {"kind": "figure", "figure": figure_id}
     if figure_id in _MODULUS_FIGURES:
         kind, N, betas, with_phase = _MODULUS_FIGURES[figure_id]
         columns = ("beta_deg", "n", "modulus") + (("phase",) if with_phase else ())
         meta.update(resource_kind=kind, N=N)
-        rows = _modulus_rows(kind, N, betas, with_phase)
+        per_angle = _modulus_rows(kind, N, betas, with_phase)
     elif figure_id == 4:
         columns = ("N", "beta_deg", "n", "modulus")
         meta.update(resource_kind="j0")
-        rows = list(itertools.chain.from_iterable(
-            _modulus_rows("j0", N, [beta_q(N)], lead=(N,)) for N in _LARGE_N))
+        per_angle = (rows for N in _LARGE_N for rows in
+                     _modulus_rows("j0", N, [beta_q(N)], lead=(N,)))
     elif figure_id in _SWEEP_FIGURES:
         spec = _SWEEP_FIGURES[figure_id]
-        columns = ("beta_deg", "q", "fidelity", "bound", "probability")
+        columns = _SWEEP_COLUMNS[:5]
         meta.update(spec=spec.echo())
-        rows = [row[:5] for row in run_sweep(spec).rows]
+        per_angle = _sweep_rows(spec, qualities=False)
     else:
         raise DomainError(f"unknown figure id {figure_id}")
     meta.update(version=__version__)
-    return SweepResult(columns, rows, meta)
+    return SweepResult(columns, itertools.chain.from_iterable(per_angle), meta)
 
 
 def stamp(result: SweepResult) -> SweepResult:

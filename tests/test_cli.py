@@ -750,3 +750,65 @@ def test_files_are_read_as_utf8_under_a_non_utf8_locale(capsys, tmp_path):
     assert runs[1].returncode == 2
     assert runs[1].stderr.startswith(f"fockport: error: spec file {_shown(str(bad))} cannot be "
                                      "parsed: 'utf-8' codec can't decode byte 0xff"), runs[1].stderr
+
+
+@pytest.mark.parametrize("figure_id, lines_read", [(4, 1), (3, 0)],
+                         ids=["closed-after-first-line", "closed-before-output"])
+def test_closed_stdout_ends_quietly_with_exit_1(figure_id, lines_read):
+    # `fockport figure --id 4 | head -n 1`: figure 4 writes far more than a pipe holds, so a
+    # write fails; figure 3 fits in the buffer, so only the last flush can fail
+    src = str(Path(fockport.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "fockport.cli", "figure", "--id",
+                             str(figure_id)], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    try:
+        first = [proc.stdout.readline() for _ in range(lines_read)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert first == ["N,beta_deg,n,modulus\n"][:lines_read]
+    assert err == ""
+
+
+def _late_overflow_spec(path, stop_deg):
+    # j0 at N = 140000 runs one angle per block: beta = 0 is the identity, the next angle
+    # overflows the kernel
+    path.write_text("resource_kind = j0\nn = 140000\nbeta_start_deg = 0\n"
+                    f"beta_stop_deg = {stop_deg}\nbeta_step_deg = 1e-98\nalpha = 1\n"
+                    f"q_list = {','.join(map(str, range(1100)))}\n")
+    return str(path)
+
+
+def test_error_after_rows_keeps_the_rows_written_and_exits_3(capsys, tmp_path):
+    # the first angle's 1100 rows fill one writer block of 1024 rows, which is written; the
+    # error falls while the next block is read, so its 76 rows of the first angle are lost
+    whole = run_cli(capsys, ["sweep", "--spec-file", _late_overflow_spec(tmp_path / "a", 0)])
+    assert whole[0] == 0 and whole[2] == ""
+    spec = _late_overflow_spec(tmp_path / "b", 1e-97)
+    code, out, err = run_cli(capsys, ["sweep", "--spec-file", spec])
+    assert code == 3
+    assert err == ("fockport: error: beta = 1.7453292519943294e-100 is too close to a multiple "
+                   "of pi: the column recurrence overflows at twice_j = 140000\n")
+    assert out.splitlines(keepends=True) == whole[1].splitlines(keepends=True)[:1 + 1024]
+    path = tmp_path / "rows.csv"
+    assert run_cli(capsys, ["sweep", "--spec-file", spec, "--output", str(path)])[:2] == (3, "")
+    assert path.read_text() == out
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_error_before_the_first_row_leaves_the_output_file_untouched(capsys, tmp_path, fmt):
+    spec = tmp_path / "tiny.spec"  # the first angle overflows the kernel
+    spec.write_text("resource_kind = j0\nn = 200\nbeta_start_deg = 1e-98\n"
+                    "beta_stop_deg = 10\nalpha = 1.0\nq_list = 100\n")
+    path = tmp_path / "rows.csv"
+    path.write_text("kept\n")
+    code, out, err = run_cli(capsys, ["sweep", "--spec-file", str(spec), "--format", fmt,
+                                      "--output", str(path)])
+    assert (code, out) == (3, "")
+    assert "too close to a multiple of pi" in err
+    assert path.read_text() == "kept\n"

@@ -1,6 +1,9 @@
 """Grid sweeps: determinism, row layout, angle search, figure datasets."""
 
+import json
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +33,7 @@ from fockport import (
     resources_for_kind,
     run_sweep,
 )
-from fockport import sweep
+from fockport import cli, sweep
 from fockport.sweep import _worst_fidelities, stamp
 
 PI = math.pi
@@ -533,6 +536,64 @@ class TestFigureDatasets:
         assert "timestamp" in stamped.meta
         assert "timestamp" not in result.meta
         assert stamped.rows == result.rows
+
+
+def _streamed_rows(monkeypatch, argv):
+    """The rows that cli.main(argv) hands its CSV writer, as the writer reads them."""
+    rows = []
+    monkeypatch.setattr(cli, "write_csv", lambda stream, columns, table, precision:
+                        rows.extend(table))
+    assert cli.main(argv) == 0
+    return rows
+
+
+def _spec(path, **raw):
+    """(the argv of a sweep of the spec file holding raw, the SweepSpec the CLI reads from it)."""
+    path.write_text(json.dumps(raw))
+    return ["sweep", "--spec-file", str(path)], cli._spec_from_mapping(raw)
+
+
+class TestStreamedRows:
+    """The CLI computes sweep and figure rows as it writes them; the library lists the same."""
+
+    @pytest.mark.parametrize("figure_id", range(1, 8))
+    def test_figure_rows(self, monkeypatch, figure_id):
+        streamed = _streamed_rows(monkeypatch, ["figure", "--id", str(figure_id)])
+        assert _hex_rows(streamed) == _hex_rows(figure_dataset(figure_id).rows)
+
+    @pytest.mark.parametrize("kind, N", GRID_KINDS)
+    @pytest.mark.parametrize("q_list, parity", [("all", False), ([0, 7, 3, 60], True)])
+    def test_sweep_rows_over_several_blocks(self, monkeypatch, tmp_path, kind, N, q_list,
+                                            parity):
+        monkeypatch.setattr(sweep, "LANE_BUDGET", 4 * (N + 1))  # 17 angles: 4+4+4+4+1
+        argv, spec = _spec(tmp_path / "spec.json", resource_kind=kind, n=N, beta_start_deg=10,
+                           beta_stop_deg=90, beta_step_deg=5, alpha=1.5, q_list=q_list,
+                           parity_correction=parity)
+        assert _hex_rows(_streamed_rows(monkeypatch, argv)) == _hex_rows(run_sweep(spec).rows)
+
+    def test_traced_peak_does_not_grow_with_blocks(self, monkeypatch, tmp_path):
+        # blocks of 100 angles at N = 200 (652 by default; traced runs are ~15x slower)
+        # and 215 outcomes.  Measured traced peaks: 2.76 MB at 101 angles (one full block)
+        # and 3.05 MB at 201 (two; the rest is the writer's part-filled block of rows); 4.32
+        # MB at 201 when a block's outcomes live on while the next is computed; 4.26 and
+        # 7.90 MB when the table is built whole before it is written
+        monkeypatch.setattr(sweep, "LANE_BUDGET", 100 * 201)
+
+        def argv(angles):
+            return _spec(tmp_path / f"{angles}.json", resource_kind="j0", n=200,
+                         beta_start_deg=0, beta_stop_deg=0.05 * (angles - 1),
+                         beta_step_deg=0.05, alpha=1)[0] + ["--output", os.devnull]
+
+        assert cli.main(argv(101)) == 0  # untraced: fills what a first run caches
+        peaks = []
+        for angles in (101, 201):
+            tracemalloc.start()
+            try:
+                assert cli.main(argv(angles)) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.3 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("call, error", [
