@@ -37,25 +37,28 @@ from .teleport import _evaluate, _mean_fidelity
 _JSON_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
-def _runs(block: list, kinds: list):
-    """(first cell, rows, cells per row) of each run of rows with one tuple of cell types, given
-    a block of rows and the types of its cells in row order; rows of unequal length run alone."""
-    rows, width = len(block), len(block[0])
-    if operator.countOf(map(len, block), width) != rows:
-        lengths = list(map(len, block))
-        return zip(itertools.accumulate(lengths, initial=0), itertools.repeat(1), lengths)
-    cuts = {0, rows}  # a run ends where the cell type of any column changes
-    for c in range(width):
-        column = kinds[c::width]
-        if column.count(column[0]) != rows:
-            changes = map(operator.ne, column, column[1:])
-            cuts.update(itertools.compress(itertools.count(1), changes))
-    cuts = sorted(cuts)
-    return zip([a * width for a in cuts], map(operator.sub, cuts[1:], cuts), itertools.repeat(width))
+def _height(block) -> int:
+    """The rows of a column block (a sequence per column); a block of no columns is one row."""
+    return len(block[0]) if block else 1
+
+
+@functools.cache
+def _kind(t: type):
+    """How a cell of type t is written: None, int, float, str or object."""
+    return (None if t is type(None) else int if issubclass(t, (int, np.integer)) else
+            float if issubclass(t, float) else str if issubclass(t, str) else object)
+
+
+def _nullable(convert, null: str):
+    """convert for a column that also holds None cells, written as null."""
+    def texts(column):
+        found = iter(convert([cell for cell in column if cell is not None]))
+        return [null if cell is None else next(found) for cell in column]
+    return texts
 
 
 class _RowRenderer:
-    """Renders table rows a block at a time through one % template per run of rows.
+    """Renders column blocks, cut into blocks of rows, through one % template per run of rows.
 
     CSV (no keys): a line of %d for integers, %.{precision}g for floats, %s for
     any other cell and nothing for None.  JSON (the column names as keys): an
@@ -63,16 +66,17 @@ class _RowRenderer:
     text converted once: integers as %d, strings escaped as json escapes them,
     any other cell rounded through %.{precision}g and written as json writes it.
 
-    A block of up to BLOCK_ROWS rows is written by one % over its cells (CSV)
-    or their texts (JSON) in row order.  Its template is the row template of
-    each run of rows with one tuple of cell types, repeated once per row of the
-    run.  The cell types are read in one pass over the flat tuple of the
-    block's cells, and compared a column at a time on strided slices of that
-    list; a block whose rows differ in length is cut into runs row by row.  A
-    column that holds one object over a run of two or more rows is formatted
-    once into that run's template and takes no arguments.  Only a column whose
-    first and last cells in the run are one object is read in full, and by
-    identity: 0.0 == -0.0, yet the two are written apart.
+    A block of BLOCK_ROWS rows (the last may hold fewer) is cut from the column
+    blocks it is given, across their edges, and written by one % over its cells
+    (CSV) or their texts (JSON) in row order, filled a column at a time by slice
+    assignment.  The cell kinds are read a column at a time: a range holds
+    integers, and each column of a column block that holds one kind, or one
+    kind and None, makes the block one run of rows.  Only a column of two kinds
+    cuts it into runs, where its cells change kind.  A column that holds one
+    object over a run of two or more rows is formatted once into that run's
+    template and takes no arguments.  Only a column whose first and last cells
+    in the run are one object is read in full, and by identity: 0.0 == -0.0,
+    yet the two are written apart.
     """
 
     BLOCK_ROWS = 1024
@@ -84,63 +88,81 @@ class _RowRenderer:
         self.sep = "" if keys is None else ",\n    "
         self.templates = {}
 
-    def blocks(self, rows):
-        """The text of the rows, one string per block, rows joined by the format's separator."""
-        rows = iter(rows)
-        while block := list(map(tuple, itertools.islice(rows, self.BLOCK_ROWS))):
-            yield self._render(block)
+    def blocks(self, blocks):
+        """The text of the column blocks' rows, a string per block of rows joined by sep."""
+        pieces, size = [], 0
+        for block in blocks:
+            height, start = _height(block), 0
+            while start < height:
+                stop = min(height, start + self.BLOCK_ROWS - size)
+                pieces.append([column[start:stop] for column in block])
+                size, start = size + stop - start, stop
+                if size == self.BLOCK_ROWS:
+                    yield self._render(pieces)
+                    pieces, size = [], 0
+        if pieces:
+            yield self._render(pieces)
 
-    def _render(self, block: list) -> str:
-        """The text of a non-empty list of row tuples, by one %."""
-        flat = tuple(itertools.chain.from_iterable(block))
-        kinds = list(map(type, flat))
-        csv = self.keys is None
-        templates, args = [], None if csv else []  # CSV args stay None while they are flat
-        for first, rows, width in _runs(block, kinds):
-            stop = first + rows * width
-            key = tuple(kinds[first:first + width])
-            if key not in self.templates:
-                self.templates[key] = self._build(key)
-            template, pieces, converts = self.templates[key]
-            constant = None
-            if rows > 1:
-                constant = {}
-                for c in converts:
-                    cell = flat[first + c]
-                    if cell is flat[stop - width + c] and all(
-                            map(operator.is_, flat[first + c:stop:width], itertools.repeat(cell))):
-                        text, = converts[c]((cell,))
-                        constant[c] = (pieces[c] % (text,)).replace("%", "%%")
-                if constant:
-                    template = self._row([constant.get(c, p) for c, p in enumerate(pieces)])
-                    converts = {c: f for c, f in converts.items() if c not in constant}
-                template = self.sep.join(itertools.repeat(template, rows))
-            templates.append(template)
-            if csv and not constant:
-                if args is not None:
-                    args += flat[first:stop]
-            else:  # the arguments of the other columns, interleaved into row order
-                if args is None:
-                    args = list(flat[:first])
-                cells = [None] * (rows * len(converts))
-                for i, (c, convert) in enumerate(converts.items()):
-                    cells[i::len(converts)] = convert(flat[first + c:stop:width])
-                args += cells
-        return self.sep.join(templates) % (flat if args is None else tuple(args))
+    def _render(self, pieces: list) -> str:
+        """The text of a block of rows given as column blocks, by one %."""
+        templates, args = [], []
+        for columns in pieces:
+            self._runs(columns, _height(columns), templates, args)
+        return self.sep.join(templates) % tuple(args)
+
+    def _runs(self, columns, rows: int, templates: list, args: list):
+        """Appends the templates and % arguments of the runs of rows of a column block: one
+        run, unless a column holds two kinds; then one per stretch of one kind per column."""
+        if self.keys is not None:
+            columns = columns[:len(self.keys)]
+        key, constant, mixed = [], {}, []
+        for c, column in enumerate(columns):
+            first = column[0]
+            if type(column) is range:
+                kinds = {int}
+            elif first is not None and rows > 1 and first is column[-1] and all(
+                    map(operator.is_, column, itertools.repeat(first))):
+                kinds, constant[c] = {_kind(type(first))}, first
+            else:
+                kinds = set(map(_kind, set(map(type, column))))
+            nullable = len(kinds) == 2 and None in kinds
+            if len(kinds) > 1 + nullable:
+                mixed.append(map(_kind, map(type, column)))
+            key.append(((kinds - {None} or kinds).pop(), nullable))
+        if mixed:  # the kinds of the mixed columns per row
+            kinds = list(zip(*mixed))
+            cuts = [0, *itertools.compress(itertools.count(1), map(operator.ne, kinds, kinds[1:])),
+                    rows]
+            for a, b in zip(cuts, cuts[1:]):
+                self._runs([column[a:b] for column in columns], b - a, templates, args)
+            return
+        key = tuple(key)
+        if key not in self.templates:
+            self.templates[key] = self._build(key)
+        template, pieces, converts = self.templates[key]
+        if constant:
+            template = self._row([(pieces[c] % tuple(converts[c]((constant[c],)))).replace(
+                "%", "%%") if c in constant else p for c, p in enumerate(pieces)])
+        templates.append(self.sep.join(itertools.repeat(template, rows)))
+        live = [f(columns[c]) for c, f in converts.items() if c not in constant]
+        start = len(args)  # the arguments of the columns, interleaved into row order
+        args += itertools.repeat(None, rows * len(live))
+        for c, cells in enumerate(live):
+            args[start + c::len(live)] = cells
 
     def _number(self, value) -> str:
         text = self.g % value
         return _JSON_NON_FINITE.get(text) or repr(float(text))
 
     def _numbers(self, column) -> list:
-        """_number of each float of a column tuple, by one % where every text is its own repr.
+        """_number of each float of a column, by one % where every text is its own repr.
 
         A %g text of at most 15 digits is the shortest for its double unless that is subnormal,
         and repr writes it as %g does but for e+ and the .0 of an integral text.  A column whose
         text holds e+, e-3 (every subnormal's), inf or nan, or of 16-17 digits, goes cell by cell.
         """
         if self.short:
-            text = self.floats * len(column) % column
+            text = self.floats * len(column) % tuple(column)
             if "e+" not in text and "e-3" not in text and "n" not in text:
                 return [t if "." in t or "e" in t else t + ".0" for t in text[:-1].split(",")]
         return list(map(self._number, column))
@@ -151,54 +173,69 @@ class _RowRenderer:
             return ",".join(pieces) + "\n"
         return "{\n      " + ",\n      ".join(pieces) + "\n    }" if pieces else "{}"
 
-    def _build(self, types):
-        """(row template, the text of each cell in it, {column: map from a column tuple to its
-        arguments} for each cell that takes arguments, which for CSV are the cells themselves)."""
-        kinds = [None if t is type(None) else int if issubclass(t, (int, np.integer)) else
-                 float if issubclass(t, float) else str if issubclass(t, str) else object
-                 for t in types]
+    def _build(self, key):
+        """(row template, the text of each cell in it, {column: map from the column's cells to
+        its arguments} for each column that takes arguments), given (kind, holds None too) per
+        column.  CSV passes the cells of a column of one kind as they are."""
         if self.keys is None:
-            slots = {None: "%.0s", int: "%d", float: self.g, str: "%s", object: "%s"}
-            pieces = [slots[kind] for kind in kinds]
-            return self._row(pieces), pieces, dict.fromkeys(range(len(kinds)), tuple)
-        kinds = kinds[:len(self.keys)]
+            slots = {None: "", int: "%d", float: self.g, str: "%s", object: "%s"}
+            to_text = {int: "%d".__mod__, float: self.g.__mod__, str: str, object: str}
+            pieces = ["%s" if nullable else slots[kind] for kind, nullable in key]
+            converts = {c: _nullable(functools.partial(map, to_text[kind]), "") if nullable else
+                        lambda column: column for c, (kind, nullable) in enumerate(key) if kind}
+            return self._row(pieces), pieces, converts
         to_text = {int: functools.partial(map, "%d".__mod__),
                    str: functools.partial(map, encode_basestring_ascii),
                    float: self._numbers, object: functools.partial(map, self._number)}
-        pieces = [encode_basestring_ascii(key).replace("%", "%%") + (": %s" if kind else ": null")
-                  for key, kind in zip(self.keys, kinds)]
-        converts = {c: to_text[kind] for c, kind in enumerate(kinds) if kind}
+        pieces = [encode_basestring_ascii(name).replace("%", "%%") + (": %s" if kind else ": null")
+                  for name, (kind, _) in zip(self.keys, key)]
+        converts = {c: _nullable(to_text[kind], "null") if nullable else to_text[kind]
+                    for c, (kind, nullable) in enumerate(key) if kind}
         return self._row(pieces), pieces, converts
 
 
-def write_csv(stream, columns, rows, precision: int):
-    stream.write(",".join(columns) + "\n")
-    for text in _RowRenderer(precision).blocks(rows):
-        stream.write(text)
+def _row_blocks(rows):
+    """Rows as column blocks of rows of one length, at most BLOCK_ROWS rows a block."""
+    rows = map(tuple, rows)
+    while chunk := list(itertools.islice(rows, _RowRenderer.BLOCK_ROWS)):
+        for width, group in itertools.groupby(chunk, len):
+            yield from [list(zip(*group))] if width else [[] for _ in group]  # a row each
 
 
-def write_json(stream, meta, columns, rows, precision: int):
+def _write(stream, meta, columns, blocks, precision: int):
+    """Writes column blocks as CSV (meta None) or as a JSON document with meta."""
+    if meta is None:
+        stream.write(",".join(columns) + "\n")
+        for text in _RowRenderer(precision).blocks(blocks):
+            stream.write(text)
+        return
     # the layout of json.dump({"meta": meta, "rows": [...]}, indent=2), a block of rows at a time
     stream.write('{\n  "meta": %s,\n  "rows": [' % json.dumps(meta, indent=2).replace("\n", "\n  "))
     sep = "\n    "
-    for text in _RowRenderer(precision, columns).blocks(rows):
+    for text in _RowRenderer(precision, columns).blocks(blocks):
         stream.write(sep + text)
         sep = ",\n    "
     stream.write("]\n}\n" if sep == "\n    " else "\n  ]\n}\n")
+
+
+def write_csv(stream, columns, rows, precision: int):
+    _write(stream, None, columns, _row_blocks(rows), precision)
+
+
+def write_json(stream, meta, columns, rows, precision: int):
+    _write(stream, meta, columns, _row_blocks(rows), precision)
 
 
 def _emit(args, result: SweepResult) -> int:
     if args.timestamp:
         result = stamp(result)
     # the first row is computed before any output: an error up to it leaves --output as it was
-    rows = iter(result.rows)
-    rows = itertools.chain(list(itertools.islice(rows, 1)), rows)
+    blocks = iter(result.rows)
+    blocks = itertools.chain(list(itertools.islice(filter(_height, blocks), 1)), blocks)
     out = open(args.output, "w", newline="") if args.output != "-" else sys.stdout
     try:
-        if args.format == "csv":
-            write_csv(out, result.columns, rows, args.precision)
-        else:
-            write_json(out, result.meta, result.columns, rows, args.precision)
+        _write(out, result.meta if args.format == "json" else None, result.columns, blocks,
+               args.precision)
     finally:
         if out is not sys.stdout:
             out.close()
@@ -259,10 +296,10 @@ def cmd_rotate(args) -> int:
     m_primes = rotated.twice_m_values() / 2.0
     # deterministic branch (-pi, pi]; only an exactly zero amplitude reports phase 0.0
     phases = phase_distribution(resource_from_state(rotated), zero_tol=math.ulp(0.0))
-    rows = list(zip(m_primes.tolist(), amps.real.tolist(), amps.imag.tolist(),
-                    np.abs(amps).tolist(), phases.tolist()))
+    block = [m_primes.tolist(), amps.real.tolist(), amps.imag.tolist(), np.abs(amps).tolist(),
+             phases.tolist()]
     meta = {"kind": "rotate", "n": args.n, "beta_deg": args.beta_deg, "version": __version__}
-    return _emit(args, SweepResult(("m_prime", "re", "im", "modulus", "phase"), rows, meta))
+    return _emit(args, SweepResult(("m_prime", "re", "im", "modulus", "phase"), [block], meta))
 
 
 def cmd_teleport(args) -> int:
@@ -272,12 +309,13 @@ def cmd_teleport(args) -> int:
     target = coherent_coefficients(args.alpha)
     qs = range(resource.N + target.k_max + 1) if args.all_q else (args.q,)
     rows = list(_evaluate(target, resource.s, qs, args.parity_correction))
-    if args.all_q:
-        rows.append(("average", _mean_fidelity(rows), None, None))
+    blocks = [list(zip(*rows))]
+    if args.all_q:  # a block of its own: each column of the q rows holds one kind
+        blocks.append([["average"], [_mean_fidelity(rows)], [None], [None]])
     meta = {"kind": "teleport", "resource": args.resource, "n": args.n,
             "beta_deg": beta_deg, "alpha": args.alpha,
             "parity_correction": bool(args.parity_correction), "version": __version__}
-    return _emit(args, SweepResult(("q", "fidelity", "bound", "probability"), rows, meta))
+    return _emit(args, SweepResult(("q", "fidelity", "bound", "probability"), blocks, meta))
 
 
 def cmd_figure(args) -> int:

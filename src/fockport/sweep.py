@@ -7,7 +7,6 @@ emitted in canonical (beta ascending, q ascending) order.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
@@ -34,6 +33,9 @@ RESOURCE_KINDS = ("j0", "2pt", "3pt", "4pt", "ideal", "relative-phase-input")
 
 _SWEEP_COLUMNS = ("beta_deg", "q", "fidelity", "bound", "probability",
                   "min_modulus", "zero_count", "flatness", "entropy")
+
+# rows of a column block of a sweep, in whole angles: at least one, else as many as fit
+_BLOCK_ROWS = 1024
 
 # filter level (doubled) behind each beam-splitter resource kind
 _KIND_LEVEL = {"j0": 0, "2pt": 1, "3pt": 2, "4pt": 3}
@@ -167,31 +169,57 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     count = grid size x outcome count; unreachable outcomes carry fidelity
     None and probability 0.
     """
-    table = _sweep_table(spec)
-    return replace(table, rows=list(table.rows))
+    return _listed(_sweep_table(spec))
+
+
+def _listed(table: SweepResult) -> SweepResult:
+    """A table with its column blocks listed as row tuples."""
+    return replace(table, rows=[row for block in table.rows for row in zip(*block)])
 
 
 def _sweep_table(spec: SweepSpec) -> SweepResult:
-    """run_sweep's result with its rows as an iterator, computed as they are read."""
+    """run_sweep's result with its rows as column blocks, computed as they are read."""
     spec.validate()
     meta = {"kind": "sweep", "spec": spec.echo(), "version": __version__}
-    return SweepResult(_SWEEP_COLUMNS, itertools.chain.from_iterable(_sweep_rows(spec)), meta)
+    return SweepResult(_SWEEP_COLUMNS, _sweep_blocks(spec), meta)
 
 
-def _sweep_rows(spec: SweepSpec, qualities: bool = True):
-    """A list of the valid spec's rows per angle, a block of angles at a time; without
-    qualities, only their first five cells, and no quality is computed."""
+def _sweep_blocks(spec: SweepSpec, qualities: bool = True):
+    """The valid spec's rows as column blocks of whole angles, a block of angles at a time;
+    without qualities, only their first five columns, and no quality is computed."""
     N = int(spec.N)  # a numpy unsigned N would wrap in N + k_max
     target = coherent_coefficients(spec.alpha)
     qs = (range(N + target.k_max + 1) if spec.q_list == "all" else
           [int(q) for q in spec.q_list])
     for angles, block in _grid_blocks(spec.resource_kind, N, spec.beta_grid.values()):
-        outcomes = list(_evaluate(target, block, qs, spec.parity_correction))
-        tails = ([(r.min_modulus, r.zero_count, r.flatness, r.entropy) for r in _qualities(block)]
-                 if qualities else [()] * len(angles))
-        for i, (deg, tail) in enumerate(zip(map(math.degrees, angles), tails)):
-            yield [(deg, q, f[i], bound, p[i]) + tail for q, f, bound, p in outcomes]
-        del outcomes  # before the next block is computed: one block's outcomes at a time
+        # per q: F over the angles, the bound, P over the angles
+        _, fs, bounds, ps = list(zip(*_evaluate(target, block, qs, spec.parity_correction))) \
+            or [()] * 4
+        per = max(1, _BLOCK_ROWS // max(1, len(qs)))  # angles per column block
+        lead = [list(map(math.degrees, angles))]
+        if qualities:
+            lead += zip(*[(r.min_modulus, r.zero_count, r.flatness, r.entropy)
+                          for r in _qualities(block)])
+        for lo in range(0, len(angles), per):
+            part = slice(lo, lo + per)
+            deg, *tail = (_repeated(cells[part], len(qs)) for cells in lead)
+            k = len(angles[part])
+            yield [deg, list(qs) * k, _interleaved([f[part] for f in fs]), bounds * k,
+                   _interleaved([p[part] for p in ps]), *tail]
+        del fs, ps, lead  # before the next block is computed: one block's outcomes at a time
+
+
+def _interleaved(parts: list) -> list:
+    """The cells of equally long parts taken in turn: the first of each part, then the second."""
+    cells = [None] * (len(parts) * len(parts[0])) if parts else []
+    for i, part in enumerate(parts):
+        cells[i::len(parts)] = part
+    return cells
+
+
+def _repeated(cells: list, n: int) -> list:
+    """Each cell n times in turn."""
+    return [cells[0]] * n if len(cells) == 1 else _interleaved([cells] * n)
 
 
 def find_beta_q_numeric(N: int, resource_kind: str = "j0",
@@ -242,15 +270,18 @@ def _worst_fidelities(target, s, qs) -> list:
     return [min(fidelities) for fidelities in by_row]
 
 
-def _modulus_rows(kind: str, N: int, betas, with_phase: bool = False, lead: tuple = ()):
-    """An iterator of the (*lead, beta_deg, n, modulus[, phase]) rows of the resource per angle."""
+def _modulus_blocks(kind: str, N: int, betas, with_phase: bool = False, lead: tuple = ()):
+    """The (*lead, beta_deg, n, modulus[, phase]) columns of the resource, a block of angles at a
+    time; n is a range at one angle, as figure 4 has at N = 20000."""
     for angles, block in _grid_blocks(kind, N, betas):
-        for beta, s, mods in zip(angles, block, np.abs(block).tolist()):
-            cells = [mods]
-            if with_phase:
-                cells.append(phase_distribution(QuasiEprResource(N, s)).tolist())
-            fixed = map(itertools.repeat, lead + (math.degrees(beta),))
-            yield zip(*fixed, range(N + 1), *cells)
+        n = range(N + 1) if len(angles) == 1 else list(range(N + 1)) * len(angles)
+        columns = [[cell] * len(n) for cell in lead] + [
+            _repeated(list(map(math.degrees, angles)), N + 1), n,
+            np.abs(block).ravel().tolist()]
+        if with_phase:
+            columns.append([phase for s in block for phase in
+                            phase_distribution(QuasiEprResource(N, s)).tolist()])
+        yield columns
 
 
 _QUARTER_TURN = BetaGrid(0.0, math.pi / 2).values()
@@ -283,33 +314,32 @@ def figure_dataset(figure_id: int) -> SweepResult:
     7: fidelity/bound/probability vs beta at q=19, level-0, N=20, alpha=3,
        parity correction on.
     """
-    table = _figure_table(figure_id)
-    return replace(table, rows=list(table.rows))
+    return _listed(_figure_table(figure_id))
 
 
 def _figure_table(figure_id: int) -> SweepResult:
-    """figure_dataset's result with its rows as an iterator, computed as they are read."""
+    """figure_dataset's result with its rows as column blocks, computed as they are read."""
     figure_id = _check_count(figure_id, "figure_id", 1)
     meta = {"kind": "figure", "figure": figure_id}
     if figure_id in _MODULUS_FIGURES:
         kind, N, betas, with_phase = _MODULUS_FIGURES[figure_id]
         columns = ("beta_deg", "n", "modulus") + (("phase",) if with_phase else ())
         meta.update(resource_kind=kind, N=N)
-        per_angle = _modulus_rows(kind, N, betas, with_phase)
+        blocks = _modulus_blocks(kind, N, betas, with_phase)
     elif figure_id == 4:
         columns = ("N", "beta_deg", "n", "modulus")
         meta.update(resource_kind="j0")
-        per_angle = (rows for N in _LARGE_N for rows in
-                     _modulus_rows("j0", N, [beta_q(N)], lead=(N,)))
+        blocks = (block for N in _LARGE_N for block in
+                  _modulus_blocks("j0", N, [beta_q(N)], lead=(N,)))
     elif figure_id in _SWEEP_FIGURES:
         spec = _SWEEP_FIGURES[figure_id]
         columns = _SWEEP_COLUMNS[:5]
         meta.update(spec=spec.echo())
-        per_angle = _sweep_rows(spec, qualities=False)
+        blocks = _sweep_blocks(spec, qualities=False)
     else:
         raise DomainError(f"unknown figure id {figure_id}")
     meta.update(version=__version__)
-    return SweepResult(columns, itertools.chain.from_iterable(per_angle), meta)
+    return SweepResult(columns, blocks, meta)
 
 
 def stamp(result: SweepResult) -> SweepResult:

@@ -752,16 +752,18 @@ def test_files_are_read_as_utf8_under_a_non_utf8_locale(capsys, tmp_path):
                                      "parsed: 'utf-8' codec can't decode byte 0xff"), runs[1].stderr
 
 
-@pytest.mark.parametrize("figure_id, lines_read", [(4, 1), (3, 0)],
-                         ids=["closed-after-first-line", "closed-before-output"])
-def test_closed_stdout_ends_quietly_with_exit_1(figure_id, lines_read):
+@pytest.mark.parametrize("figure_id, lines_read, fmt",
+                         [(4, 1, "csv"), (3, 0, "csv"), (4, 1, "json"), (3, 0, "json")],
+                         ids=["closed-after-first-line", "closed-before-output",
+                              "json-closed-after-first-line", "json-closed-before-output"])
+def test_closed_stdout_ends_quietly_with_exit_1(figure_id, lines_read, fmt):
     # `fockport figure --id 4 | head -n 1`: figure 4 writes far more than a pipe holds, so a
     # write fails; figure 3 fits in the buffer, so only the last flush can fail
     src = str(Path(fockport.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.Popen([sys.executable, "-m", "fockport.cli", "figure", "--id",
-                             str(figure_id)], env=env, stdout=subprocess.PIPE,
+                             str(figure_id), "--format", fmt], env=env, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True)
     try:
         first = [proc.stdout.readline() for _ in range(lines_read)]
@@ -771,7 +773,7 @@ def test_closed_stdout_ends_quietly_with_exit_1(figure_id, lines_read):
     finally:
         proc.kill()
         proc.stderr.close()
-    assert first == ["N,beta_deg,n,modulus\n"][:lines_read]
+    assert first == [{"csv": "N,beta_deg,n,modulus\n", "json": "{\n"}[fmt]][:lines_read]
     assert err == ""
 
 

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from fockport.cli import _RowRenderer, write_csv, write_json
+from fockport.cli import _RowRenderer, _write, write_csv, write_json
 
 
 def _fmt(value, precision: int) -> str:
@@ -193,6 +193,34 @@ def test_blocks_match_reference(table, fmt, precision):
     else:
         write_json(got, META, columns, iter(rows), precision)
         reference_write_json(want, META, columns, rows, precision)
+    assert got.getvalue() == want.getvalue()
+
+
+def _column_blocks(sizes=(1, B - 1, B + 1, 3)):
+    """Column blocks as the table producers give them: a range, lists and one repeated object
+    per block, the object of the second block repeated on through the third."""
+    blocks, first = [], 0
+    for i, size in enumerate(sizes):
+        shared = _TEXT if i in (1, 2) else 0.5 + i
+        blocks.append([range(first, first + size), [k / 7 for k in range(size)], [shared] * size,
+                       [None if k % 3 else -k / 3 for k in range(size)]])
+        first += size
+    return blocks
+
+
+@pytest.mark.parametrize("precision", [1, 12, 17])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_column_blocks_are_cut_into_blocks_of_rows(fmt, precision):
+    # blocks of 1, 1023 and 1025 rows meet inside the writer's blocks of 1024 rows
+    blocks = _column_blocks()
+    rows = [row for block in blocks for row in zip(*block)]
+    got, want = io.StringIO(), io.StringIO()
+    if fmt == "csv":
+        _write(got, None, COLUMNS, iter(blocks), precision)
+        reference_write_csv(want, COLUMNS, rows, precision)
+    else:
+        _write(got, META, COLUMNS, iter(blocks), precision)
+        reference_write_json(want, META, COLUMNS, rows, precision)
     assert got.getvalue() == want.getvalue()
 
 
