@@ -195,18 +195,18 @@ def _sweep_blocks(spec: SweepSpec, qualities: bool = True):
         # per q: F over the angles, the bound, P over the angles
         _, fs, bounds, ps = list(zip(*_evaluate(target, block, qs, spec.parity_correction))) \
             or [()] * 4
-        per = max(1, _BLOCK_ROWS // max(1, len(qs)))  # angles per column block
-        lead = [list(map(math.degrees, angles))]
+        step = max(1, _BLOCK_ROWS // max(1, len(qs)))  # angles per column block, N checked
+        per_angle = [list(map(math.degrees, angles))]  # beta_deg, then the qualities
         if qualities:
-            lead += zip(*[(r.min_modulus, r.zero_count, r.flatness, r.entropy)
-                          for r in _qualities(block)])
-        for lo in range(0, len(angles), per):
-            part = slice(lo, lo + per)
-            deg, *tail = (_repeated(cells[part], len(qs)) for cells in lead)
+            per_angle += zip(*[(r.min_modulus, r.zero_count, r.flatness, r.entropy)
+                               for r in _qualities(block)])
+        for lo in range(0, len(angles), step):
+            part = slice(lo, lo + step)
+            deg, *tail = (_repeated(cells[part], len(qs)) for cells in per_angle)
             k = len(angles[part])
             yield [deg, list(qs) * k, _interleaved([f[part] for f in fs]), bounds * k,
                    _interleaved([p[part] for p in ps]), *tail]
-        del fs, ps, lead  # before the next block is computed: one block's outcomes at a time
+        del fs, ps, per_angle  # before the next block is computed: one block's outcomes at a time
 
 
 def _interleaved(parts: list) -> list:
@@ -270,14 +270,13 @@ def _worst_fidelities(target, s, qs) -> list:
     return [min(fidelities) for fidelities in by_row]
 
 
-def _modulus_blocks(kind: str, N: int, betas, with_phase: bool = False, lead: tuple = ()):
-    """The (*lead, beta_deg, n, modulus[, phase]) columns of the resource, a block of angles at a
-    time; n is a range at one angle, as figure 4 has at N = 20000."""
+def _modulus_blocks(kind: str, N: int, betas, with_phase: bool = False):
+    """The (beta_deg, n, modulus[, phase]) columns of the resource, a block of angles at a time;
+    n is a range at one angle, as figure 4 has at N = 20000."""
     for angles, block in _grid_blocks(kind, N, betas):
         n = range(N + 1) if len(angles) == 1 else list(range(N + 1)) * len(angles)
-        columns = [[cell] * len(n) for cell in lead] + [
-            _repeated(list(map(math.degrees, angles)), N + 1), n,
-            np.abs(block).ravel().tolist()]
+        columns = [_repeated(list(map(math.degrees, angles)), N + 1), n,
+                   np.abs(block).ravel().tolist()]
         if with_phase:
             columns.append([phase for s in block for phase in
                             phase_distribution(QuasiEprResource(N, s)).tolist()])
@@ -329,8 +328,8 @@ def _figure_table(figure_id: int) -> SweepResult:
     elif figure_id == 4:
         columns = ("N", "beta_deg", "n", "modulus")
         meta.update(resource_kind="j0")
-        blocks = (block for N in _LARGE_N for block in
-                  _modulus_blocks("j0", N, [beta_q(N)], lead=(N,)))
+        blocks = ([[N] * (N + 1), *block] for N in _LARGE_N
+                  for block in _modulus_blocks("j0", N, [beta_q(N)]))
     elif figure_id in _SWEEP_FIGURES:
         spec = _SWEEP_FIGURES[figure_id]
         columns = _SWEEP_COLUMNS[:5]
