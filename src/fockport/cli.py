@@ -69,10 +69,10 @@ class _RowRenderer:
     A block of BLOCK_ROWS rows (the last may hold fewer) is cut from the column
     blocks it is given, across their edges, and written by one % over its cells
     (CSV) or their texts (JSON) in row order, filled a column at a time by slice
-    assignment.  The cell kinds are read a column at a time: a range holds
-    integers, and each column of a column block that holds one kind, or one
-    kind and None, makes the block one run of rows.  Only a column of two kinds
-    cuts it into runs, where its cells change kind.  A column that holds one
+    assignment.  The cell kinds are read a column at a time (a range holds
+    integers): a column block whose columns each hold one kind, or one kind
+    and None, is one run of rows.  Only a column of two kinds cuts its block
+    into runs, where its cells change kind.  A column that holds one
     object over a run of two or more rows is formatted once into that run's
     template and takes no arguments.  Only a column whose first and last cells
     in the run are one object is read in full, and by identity: 0.0 == -0.0,

@@ -195,7 +195,8 @@ def _sweep_blocks(spec: SweepSpec, qualities: bool = True):
         # per q: F over the angles, the bound, P over the angles
         _, fs, bounds, ps = list(zip(*_evaluate(target, block, qs, spec.parity_correction))) \
             or [()] * 4
-        step = max(1, _BLOCK_ROWS // max(1, len(qs)))  # angles per column block, N checked
+        # angles per column block; len(qs) is read once the grid has checked N
+        step = max(1, _BLOCK_ROWS // max(1, len(qs)))
         per_angle = [list(map(math.degrees, angles))]  # beta_deg, then the qualities
         if qualities:
             per_angle += zip(*[(r.min_modulus, r.zero_count, r.flatness, r.entropy)
