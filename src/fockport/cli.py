@@ -38,8 +38,8 @@ _JSON_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 
 
 def _height(block) -> int:
-    """The rows of a column block (a sequence per column); a block of no columns is one row."""
-    return len(block[0]) if block else 1
+    """The rows of a column block (a sequence per column)."""
+    return len(block[0])
 
 
 @functools.cache
@@ -69,14 +69,14 @@ class _RowRenderer:
     A block of BLOCK_ROWS rows (the last may hold fewer) is cut from the column
     blocks it is given, across their edges, and written by one % over its cells
     (CSV) or their texts (JSON) in row order, filled a column at a time by slice
-    assignment.  The cell kinds are read a column at a time (a range holds
-    integers): a column block whose columns each hold one kind, or one kind
-    and None, is one run of rows.  Only a column of two kinds cuts its block
-    into runs, where its cells change kind.  A column that holds one
-    object over a run of two or more rows is formatted once into that run's
-    template and takes no arguments.  Only a column whose first and last cells
-    in the run are one object is read in full, and by identity: 0.0 == -0.0,
-    yet the two are written apart.
+    assignment.  Each column of a column block holds one kind of cell, or one
+    kind and None; a column of two other kinds raises TypeError.  The kinds are
+    read a column at a time (a range holds integers), and the part of a column
+    block that falls in a block of rows is one run of rows, written through one
+    row template.  A column that holds one object over a run of two or more rows
+    is formatted once into that run's template and takes no arguments.  Only a
+    column whose first and last cells in the run are one object is read in full,
+    and by identity: 0.0 == -0.0, yet the two are written apart.
     """
 
     BLOCK_ROWS = 1024
@@ -107,15 +107,12 @@ class _RowRenderer:
         """The text of a block of rows given as column blocks, by one %."""
         templates, args = [], []
         for columns in pieces:
-            self._runs(columns, _height(columns), templates, args)
+            self._run(columns, _height(columns), templates, args)
         return self.sep.join(templates) % tuple(args)
 
-    def _runs(self, columns, rows: int, templates: list, args: list):
-        """Appends the templates and % arguments of the runs of rows of a column block: one
-        run, unless a column holds two kinds; then one per stretch of one kind per column."""
-        if self.keys is not None:
-            columns = columns[:len(self.keys)]
-        key, constant, mixed = [], {}, []
+    def _run(self, columns, rows: int, templates: list, args: list):
+        """Appends the template and % arguments of a run of rows given as a column block."""
+        key, constant = [], {}
         for c, column in enumerate(columns):
             first = column[0]
             if type(column) is range:
@@ -126,16 +123,9 @@ class _RowRenderer:
             else:
                 kinds = set(map(_kind, set(map(type, column))))
             nullable = len(kinds) == 2 and None in kinds
-            if len(kinds) > 1 + nullable:
-                mixed.append(map(_kind, map(type, column)))
+            if len(kinds) > 1 + nullable:  # else a float would be written through %d
+                raise TypeError(f"column {c} of a block holds cells of more than one kind")
             key.append(((kinds - {None} or kinds).pop(), nullable))
-        if mixed:  # the kinds of the mixed columns per row
-            kinds = list(zip(*mixed))
-            cuts = [0, *itertools.compress(itertools.count(1), map(operator.ne, kinds, kinds[1:])),
-                    rows]
-            for a, b in zip(cuts, cuts[1:]):
-                self._runs([column[a:b] for column in columns], b - a, templates, args)
-            return
         key = tuple(key)
         if key not in self.templates:
             self.templates[key] = self._build(key)
@@ -194,21 +184,15 @@ class _RowRenderer:
         return self._row(pieces), pieces, converts
 
 
-def _row_blocks(rows):
-    """Rows as column blocks of rows of one length, at most BLOCK_ROWS rows a block."""
-    rows = map(tuple, rows)
-    while chunk := list(itertools.islice(rows, _RowRenderer.BLOCK_ROWS)):
-        for width, group in itertools.groupby(chunk, len):
-            yield from [list(zip(*group))] if width else [[] for _ in group]  # a row each
+def write_csv(stream, columns, blocks, precision: int):
+    """Writes column blocks as CSV: the column names, then a line per row."""
+    stream.write(",".join(columns) + "\n")
+    for text in _RowRenderer(precision).blocks(blocks):
+        stream.write(text)
 
 
-def _write(stream, meta, columns, blocks, precision: int):
-    """Writes column blocks as CSV (meta None) or as a JSON document with meta."""
-    if meta is None:
-        stream.write(",".join(columns) + "\n")
-        for text in _RowRenderer(precision).blocks(blocks):
-            stream.write(text)
-        return
+def write_json(stream, meta, columns, blocks, precision: int):
+    """Writes column blocks as one JSON document {"meta": meta, "rows": [an object per row]}."""
     # the layout of json.dump({"meta": meta, "rows": [...]}, indent=2), a block of rows at a time
     stream.write('{\n  "meta": %s,\n  "rows": [' % json.dumps(meta, indent=2).replace("\n", "\n  "))
     sep = "\n    "
@@ -216,14 +200,6 @@ def _write(stream, meta, columns, blocks, precision: int):
         stream.write(sep + text)
         sep = ",\n    "
     stream.write("]\n}\n" if sep == "\n    " else "\n  ]\n}\n")
-
-
-def write_csv(stream, columns, rows, precision: int):
-    _write(stream, None, columns, _row_blocks(rows), precision)
-
-
-def write_json(stream, meta, columns, rows, precision: int):
-    _write(stream, meta, columns, _row_blocks(rows), precision)
 
 
 def _emit(args, result: SweepResult) -> int:
@@ -234,8 +210,10 @@ def _emit(args, result: SweepResult) -> int:
     blocks = itertools.chain(list(itertools.islice(filter(_height, blocks), 1)), blocks)
     out = open(args.output, "w", newline="") if args.output != "-" else sys.stdout
     try:
-        _write(out, result.meta if args.format == "json" else None, result.columns, blocks,
-               args.precision)
+        if args.format == "json":
+            write_json(out, result.meta, result.columns, blocks, args.precision)
+        else:
+            write_csv(out, result.columns, blocks, args.precision)
     finally:
         if out is not sys.stdout:
             out.close()

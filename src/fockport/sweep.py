@@ -119,7 +119,8 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Ordered table of sweep rows plus reproducibility metadata."""
+    """Ordered table plus reproducibility metadata: rows holds row tuples from run_sweep and
+    figure_dataset, and column blocks (a sequence per column) inside the CLI."""
 
     columns: tuple
     rows: list

@@ -13,6 +13,7 @@ import pytest
 import fockport
 from fockport import (RESOURCE_KINDS, SpinJ, SpinProjection, average_fidelity,
                       coherent_coefficients, evaluate_all, resource_for_kind, wigner_d_column)
+from fockport import cli
 from fockport.cli import main
 from fockport.errors import _shown
 
@@ -526,6 +527,30 @@ class TestOutputHandling:
                     assert value is None
                 else:
                     assert float(text) == value  # same %g path, bit-identical
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_commands_write_through_the_public_writers(self, capsys, monkeypatch, tmp_path, fmt):
+        # perfbench/tracer.py records the time and bytes of a write under these two names
+        calls = []
+
+        def spy(name):
+            write = getattr(cli, name)
+
+            def spied(*args):
+                calls.append(name)
+                return write(*args)
+            return spied
+
+        for name in ("write_csv", "write_json"):
+            monkeypatch.setattr(cli, name, spy(name))
+        spec = tmp_path / "spec.txt"
+        spec.write_text(SPEC_TEXT)
+        for argv in (["rotate", "--n", "4", "--m", "0", "--beta-deg", "60"],
+                     ["teleport", "--resource", "j0", "--n", "10", "--beta-deg", "81", "--all-q"],
+                     ["figure", "--id", "3"], ["sweep", "--spec-file", str(spec)]):
+            calls.clear()
+            code, _, _ = run_cli(capsys, argv + ["--format", fmt])
+            assert (code, calls) == (0, [f"write_{fmt}"]), argv
 
     def test_precision_flag(self, capsys):
         argv = ["rotate", "--n", "2", "--m", "0", "--beta-deg", "33.3"]

@@ -541,7 +541,7 @@ class TestFigureDatasets:
 def _streamed_rows(monkeypatch, argv):
     """The rows that cli.main(argv) hands its writer, its column blocks expanded to rows."""
     rows = []
-    monkeypatch.setattr(cli, "_write", lambda stream, meta, columns, blocks, precision:
+    monkeypatch.setattr(cli, "write_csv", lambda stream, columns, blocks, precision:
                         rows.extend(row for block in blocks for row in zip(*block)))
     assert cli.main(argv) == 0
     return rows
