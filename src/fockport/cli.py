@@ -18,6 +18,7 @@ import json
 import math
 import operator
 import os
+import re
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -60,32 +61,33 @@ def _nullable(convert, null: str):
 class _RowRenderer:
     """Renders column blocks, cut into blocks of rows, through one % template per run of rows.
 
-    CSV (no keys): a line of %d for integers, %.{precision}g for floats, %s for
-    any other cell and nothing for None.  JSON (the column names as keys): an
-    object in json's indent=2 layout with None as null and each other cell as
-    text converted once: integers as %d, strings escaped as json escapes them,
-    any other cell rounded through %.{precision}g and written as json writes it.
+    CSV: a line of %d for integers, %.{precision}g for floats, %s for any other
+    cell and nothing for None.  JSON (the column names as keys): an object in
+    json's indent=2 layout with None as null and each other cell as text
+    converted once: integers as %d, strings escaped as json escapes them, any
+    other cell rounded through %.{precision}g and written as json writes it.
 
     A block of BLOCK_ROWS rows (the last may hold fewer) is cut from the column
     blocks it is given, across their edges, and written by one % over its cells
     (CSV) or their texts (JSON) in row order, filled a column at a time by slice
-    assignment.  Each column of a column block holds one kind of cell, or one
-    kind and None; a column of two other kinds raises TypeError.  The kinds are
-    read a column at a time (a range holds integers), and the part of a column
-    block that falls in a block of rows is one run of rows, written through one
-    row template.  A column that holds one object over a run of two or more rows
-    is formatted once into that run's template and takes no arguments.  Only a
-    column whose first and last cells in the run are one object is read in full,
-    and by identity: 0.0 == -0.0, yet the two are written apart.
+    assignment.  A column block holds a column per name, all of one length
+    (else ValueError), each of one kind of cell or one kind and None (else
+    TypeError).  The kinds are read a column at a time (a range holds
+    integers), and the part of a column block that falls in a block of rows is
+    one run of rows, written through one row template.  A column that holds
+    one object over a run of two or more rows is formatted once into that
+    run's template and takes no arguments.  Only a column whose first and last
+    cells in the run are one object is read in full, and by identity:
+    0.0 == -0.0, yet the two are written apart.
     """
 
     BLOCK_ROWS = 1024
 
-    def __init__(self, precision: int, keys=None):
+    def __init__(self, precision: int, names, as_json: bool = False):
         self.g = "%%.%dg" % precision
         self.floats, self.short = self.g + ",", precision <= 15
-        self.keys = keys
-        self.sep = "" if keys is None else ",\n    "
+        self.names, self.json = names, as_json
+        self.sep = ",\n    " if as_json else ""
         self.templates = {}
 
     def blocks(self, blocks):
@@ -93,6 +95,12 @@ class _RowRenderer:
         pieces, size = [], 0
         for block in blocks:
             height, start = _height(block), 0
+            # checked whole: the runs cut from the block would cut a longer column to length
+            if len(block) != len(self.names):
+                raise ValueError(f"a block of {len(block)} columns under {len(self.names)} names")
+            for name, column in zip(self.names, block):
+                if len(column) != height:
+                    raise ValueError(f"column {name!r} holds {len(column)} cells, not {height}")
             while start < height:
                 stop = min(height, start + self.BLOCK_ROWS - size)
                 pieces.append([column[start:stop] for column in block])
@@ -149,17 +157,17 @@ class _RowRenderer:
 
         A %g text of at most 15 digits is the shortest for its double unless that is subnormal,
         and repr writes it as %g does but for e+ and the .0 of an integral text.  A column whose
-        text holds e+, e-3 (every subnormal's), inf or nan, or of 16-17 digits, goes cell by cell.
+        text holds e+, inf, nan or e-3dd (every subnormal's), or of 16-17 digits, goes cell by cell.
         """
         if self.short:
             text = self.floats * len(column) % tuple(column)
-            if "e+" not in text and "e-3" not in text and "n" not in text:
+            if not ("e+" in text or "n" in text or re.search(r"e-3\d\d", text)):
                 return [t if "." in t or "e" in t else t + ".0" for t in text[:-1].split(",")]
         return list(map(self._number, column))
 
     def _row(self, pieces) -> str:
         """The row template of the texts of its cells."""
-        if self.keys is None:
+        if not self.json:
             return ",".join(pieces) + "\n"
         return "{\n      " + ",\n      ".join(pieces) + "\n    }" if pieces else "{}"
 
@@ -167,7 +175,7 @@ class _RowRenderer:
         """(row template, the text of each cell in it, {column: map from the column's cells to
         its arguments} for each column that takes arguments), given (kind, holds None too) per
         column.  CSV passes the cells of a column of one kind as they are."""
-        if self.keys is None:
+        if not self.json:
             slots = {None: "", int: "%d", float: self.g, str: "%s", object: "%s"}
             to_text = {int: "%d".__mod__, float: self.g.__mod__, str: str, object: str}
             pieces = ["%s" if nullable else slots[kind] for kind, nullable in key]
@@ -178,7 +186,7 @@ class _RowRenderer:
                    str: functools.partial(map, encode_basestring_ascii),
                    float: self._numbers, object: functools.partial(map, self._number)}
         pieces = [encode_basestring_ascii(name).replace("%", "%%") + (": %s" if kind else ": null")
-                  for name, (kind, _) in zip(self.keys, key)]
+                  for name, (kind, _) in zip(self.names, key)]
         converts = {c: _nullable(to_text[kind], "null") if nullable else to_text[kind]
                     for c, (kind, nullable) in enumerate(key) if kind}
         return self._row(pieces), pieces, converts
@@ -187,7 +195,7 @@ class _RowRenderer:
 def write_csv(stream, columns, blocks, precision: int):
     """Writes column blocks as CSV: the column names, then a line per row."""
     stream.write(",".join(columns) + "\n")
-    for text in _RowRenderer(precision).blocks(blocks):
+    for text in _RowRenderer(precision, columns).blocks(blocks):
         stream.write(text)
 
 
@@ -196,7 +204,7 @@ def write_json(stream, meta, columns, blocks, precision: int):
     # the layout of json.dump({"meta": meta, "rows": [...]}, indent=2), a block of rows at a time
     stream.write('{\n  "meta": %s,\n  "rows": [' % json.dumps(meta, indent=2).replace("\n", "\n  "))
     sep = "\n    "
-    for text in _RowRenderer(precision, columns).blocks(blocks):
+    for text in _RowRenderer(precision, columns, as_json=True).blocks(blocks):
         stream.write(sep + text)
         sep = ",\n    "
     stream.write("]\n}\n" if sep == "\n    " else "\n  ]\n}\n")
@@ -286,10 +294,9 @@ def cmd_teleport(args) -> int:
     resource = resource_for_kind(args.resource, args.n, math.radians(beta_deg))
     target = coherent_coefficients(args.alpha)
     qs = range(resource.N + target.k_max + 1) if args.all_q else (args.q,)
-    rows = list(_evaluate(target, resource.s, qs, args.parity_correction))
-    blocks = [list(zip(*rows))]
+    blocks = [_evaluate(target, resource.s, qs, args.parity_correction)]
     if args.all_q:  # a block of its own: each column of the q rows holds one kind
-        blocks.append([["average"], [_mean_fidelity(rows)], [None], [None]])
+        blocks.append([["average"], [_mean_fidelity(blocks[0])], [None], [None]])
     meta = {"kind": "teleport", "resource": args.resource, "n": args.n,
             "beta_deg": beta_deg, "alpha": args.alpha,
             "parity_correction": bool(args.parity_correction), "version": __version__}

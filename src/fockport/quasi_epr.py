@@ -9,7 +9,7 @@ first mode) approximate the flat profile of an ideal EPR-like state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -150,8 +150,8 @@ def resource_from_state(state: SpinState) -> QuasiEprResource:
     return QuasiEprResource(state.j.twice_j, state.amplitudes)
 
 
-def _qualities(rows: np.ndarray) -> list:
-    """quality of each row of a (B, N+1) unit-norm stack, with the bits of a one-row call."""
+def _qualities(rows: np.ndarray) -> dict:
+    """EprQualityReport's columns over a (B, N+1) unit-norm stack, each row with quality's bits."""
     mods = np.abs(rows)
     p = mods ** 2
     p /= p.sum(axis=-1, keepdims=True)
@@ -167,16 +167,17 @@ def _qualities(rows: np.ndarray) -> list:
     nz = p[live]
     flat[is_term] = nz * np.log(nz)
     # the sums are negated, not the terms: a lone p = 1 gives -(0.0 + 0.0) = -0.0
-    entropies = (-np.add.reduceat(flat, starts)).tolist()
+    entropies = -np.add.reduceat(flat, starts)
     log_dim = math.log(rows.shape[-1])
-    zeros = np.count_nonzero(mods < _ZERO_TOL, axis=-1).tolist()
-    return [EprQualityReport(lo, z, hi - lo, h, h / log_dim if log_dim > 0.0 else 1.0)
-            for lo, hi, z, h in zip(mods.min(-1).tolist(), mods.max(-1).tolist(), zeros, entropies)]
+    lo = mods.min(-1)
+    columns = (lo, np.count_nonzero(mods < _ZERO_TOL, axis=-1), mods.max(-1) - lo, entropies,
+               entropies / log_dim if log_dim > 0.0 else np.ones(len(rows)))
+    return {field.name: cells.tolist() for field, cells in zip(fields(EprQualityReport), columns)}
 
 
 def quality(resource: QuasiEprResource) -> EprQualityReport:
     """Flatness report: min modulus, zero count, max-min spread, entropy."""
-    return _qualities(resource.s[None])[0]
+    return EprQualityReport(*(cells[0] for cells in _qualities(resource.s[None]).values()))
 
 
 def phase_distribution(resource: QuasiEprResource, zero_tol: float = _ZERO_TOL) -> np.ndarray:

@@ -120,7 +120,7 @@ class SweepSpec:
 @dataclass(frozen=True)
 class SweepResult:
     """Ordered table plus reproducibility metadata: rows holds row tuples from run_sweep and
-    figure_dataset, and column blocks (a sequence per column) inside the CLI."""
+    figure_dataset, and inside the CLI column blocks, as the grid paths compute them."""
 
     columns: tuple
     rows: list
@@ -190,23 +190,20 @@ def _sweep_blocks(spec: SweepSpec, qualities: bool = True):
     without qualities, only their first five columns, and no quality is computed."""
     N = int(spec.N)  # a numpy unsigned N would wrap in N + k_max
     target = coherent_coefficients(spec.alpha)
-    qs = (range(N + target.k_max + 1) if spec.q_list == "all" else
-          [int(q) for q in spec.q_list])
+    qs = range(N + target.k_max + 1) if spec.q_list == "all" else spec.q_list
     for angles, block in _grid_blocks(spec.resource_kind, N, spec.beta_grid.values()):
         # per q: F over the angles, the bound, P over the angles
-        _, fs, bounds, ps = list(zip(*_evaluate(target, block, qs, spec.parity_correction))) \
-            or [()] * 4
+        qs, fs, bounds, ps = _evaluate(target, block, qs, spec.parity_correction)
         # angles per column block; len(qs) is read once the grid has checked N
         step = max(1, _BLOCK_ROWS // max(1, len(qs)))
         per_angle = [list(map(math.degrees, angles))]  # beta_deg, then the qualities
         if qualities:
-            per_angle += zip(*[(r.min_modulus, r.zero_count, r.flatness, r.entropy)
-                               for r in _qualities(block)])
+            per_angle += map(_qualities(block).get, _SWEEP_COLUMNS[5:])
         for lo in range(0, len(angles), step):
             part = slice(lo, lo + step)
             deg, *tail = (_repeated(cells[part], len(qs)) for cells in per_angle)
             k = len(angles[part])
-            yield [deg, list(qs) * k, _interleaved([f[part] for f in fs]), bounds * k,
+            yield [deg, qs * k, _interleaved([f[part] for f in fs]), bounds * k,
                    _interleaved([p[part] for p in ps]), *tail]
         del fs, ps, per_angle  # before the next block is computed: one block's outcomes at a time
 
@@ -258,18 +255,18 @@ def find_beta_q_numeric(N: int, resource_kind: str = "j0",
         if objective == "min_fidelity_target":
             scores += _worst_fidelities(target, block, range(q_lo, q_hi + 1))
         else:
-            scores += [getattr(rep, objective) for rep in _qualities(block)]
+            scores += _qualities(block)[objective]
     return float(betas[int(np.argmax(scores))])
 
 
 def _worst_fidelities(target, s, qs) -> list:
     """Smallest fidelity(target, ., q, True) over qs for each resource row of the stack s."""
-    by_row = list(zip(*(f for _, f, _, _ in _evaluate(target, s, qs, True))))
-    for fidelities in by_row:
-        if None in fidelities:
-            q = qs[fidelities.index(None)]
-            raise ImpossibleOutcomeError(f"outcome q = {q} has zero probability")
-    return [min(fidelities) for fidelities in by_row]
+    fs = np.array(_evaluate(target, s, qs, True)[1], dtype=float)  # q by row; a None reads nan
+    impossible = np.isnan(fs)
+    if impossible.any():  # named at the first resource row with one
+        q = qs[impossible[:, impossible.any(axis=0).argmax()].argmax()]
+        raise ImpossibleOutcomeError(f"outcome q = {q} has zero probability")
+    return fs.min(axis=0).tolist()
 
 
 def _modulus_blocks(kind: str, N: int, betas, with_phase: bool = False):

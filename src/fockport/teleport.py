@@ -90,26 +90,27 @@ _BATCH = 1 << 14  # entries (q x row length x resource rows) one batch of q sums
 
 
 def _evaluate(target: CoherentTarget, s: np.ndarray, qs, apply_parity_correction: bool):
-    """Yield (q, F, bound, P) for each q in qs; P and F sum over k = k0..q in order.
+    """The table over qs as four lists: the checked q, F, the bound and P, in the order of qs.
 
-    s is one resource's s_n or a (B, N+1) stack of them, for which F and P are
-    lists over the rows.  q's window pairs c_k^2, zero past k_max, with
-    s_{q-k}, the reversed s from N-q+k0 on.  A batch of q is summed by one
-    np.add.reduceat per sum, over an array with a row per q (0.0, the window,
-    junk) and a column per resource row.  reduceat copies a segment's first
-    entry and adds numpy's pairwise sum of the rest, and np.add.reduce adds
-    that same sum to 0.0, so a segment from the 0.0 to the window's end has
-    the bits of np.add.reduce over the window alone; the segments over the
-    junk are dropped.  Only the products up to k_max are formed; past them a
-    window keeps its zeros.  qs, a range, list or tuple, is read a batch at a
-    time, so a bad q raises before the earlier rows of its batch are yielded.
+    s is one resource's s_n or a (B, N+1) stack of them, for which F and P hold a list over
+    the rows per q.  F is None where P is 0.  P and F sum over k = k0..q in order.  q's
+    window pairs c_k^2, zero past k_max, with s_{q-k}, the reversed s from N-q+k0 on.  A
+    batch of q is summed by one np.add.reduceat per sum, over an array with a row per q
+    (0.0, the window, junk) and a column per resource row.  reduceat copies a segment's
+    first entry and adds numpy's pairwise sum of the rest, and np.add.reduce adds that same
+    sum to 0.0, so a segment from the 0.0 to the window's end has the bits of np.add.reduce
+    over the window alone; the segments over the junk are dropped.  Only the products up to
+    k_max are formed; past them a window keeps its zeros.  A q past N + k_max is summed as
+    N + k_max + 1, whose window lies wholly past k_max, so its bound and P are 0.0.  Every q
+    of qs (a range, list or tuple) is checked before any is summed.
     """
     N, k_max = s.shape[-1] - 1, target.k_max
+    qs = [q if type(q) is int and q >= 0 else _check_count(q, "q", 0) for q in qs]
     stack = s.reshape(-1, N + 1)
     B, J = len(stack), min(N, k_max) + 1  # J: products in the longest window
-    # c_k^2 (to an even length) and, a column per resource row, s_{N-i} and |s_{N-i}|^2,
-    # zero-padded and read J entries from every start: c2[k0] is c_k^2 over k0..k0+J-1
-    c2 = np.concatenate((target.coeffs, np.zeros(J - 1 + (k_max + J) % 2))) ** 2
+    # c_k^2 (to an even length) and, a column per resource row, s_{N-i} and |s_{N-i}|^2, zero-
+    # padded and read J entries from every start: c2[k0] is c_k^2 over k0..k0+J-1 to k_max + 1
+    c2 = np.concatenate((target.coeffs, np.zeros(J + (k_max + J + 1) % 2))) ** 2
     s_rev = np.zeros((N + J, B), s.dtype)
     s_rev[:N + 1] = stack.T[::-1]
     s2_rev = _starts(np.abs(s_rev) ** 2, J)
@@ -119,7 +120,7 @@ def _evaluate(target: CoherentTarget, s: np.ndarray, qs, apply_parity_correction
         # phase of 1 or +-i multiplies exactly, so its place in the product does not change F
         c2_phase = _starts((c2.reshape(-1, 2, 1) * _PARITY_PHASES).reshape(-1, 2), J)
     c2 = _starts(c2, J)
-    one, size = s.ndim == 1, N + 2  # a row: 0.0, then the longest window
+    size = N + 2  # a row: 0.0, then the longest window
     cap = max(1, _BATCH // (B * size))
     # a row of P and of the numerator per q of a batch (a column per resource row); every
     # batch writes all of columns 1..J of its rows, so past them every window stays zero
@@ -127,38 +128,31 @@ def _evaluate(target: CoherentTarget, s: np.ndarray, qs, apply_parity_correction
     cplx = np.zeros(real.shape, s_rev.dtype)
     products = [a.reshape(-1, size, B)[:, 1:J + 1] for a in (real, cplx)]
     starts = np.arange(0, len(real), size).repeat(2)
+    fs, bounds, ps = [], [], []
     for first in range(0, len(qs), cap):
-        batch = [q if type(q) is int and q >= 0 else _check_count(q, "q", 0)
-                 for q in qs[first:first + cap]]
-        live = [q for q in batch if q <= N + k_max]
-        if live:
-            q = np.array(live)
-            shift = q - N
-            k0 = np.maximum(shift, 0)
-            lo = k0 - shift  # s_{q-k0} in s_rev
-            cut = np.maximum(q - k_max, 0)  # the window's k past k_max
-            # each row's start and its window's end, in turn, first the bound's, k = k0..q-cut;
-            # a sum runs up to the last window's end, which so needs no index of its own
-            ends = starts[:2 * len(q)].copy()
-            ends[1::2] += N + 2 - lo - cut
-            products[0][:len(q)] = c2[k0, :, None]
-            bound = np.add.reduceat(real[:ends[-1], 0], ends[:-1])[::2]
-            products[0][:len(q)] *= s2_rev[lo]
-            ends[1::2] += cut
-            p = np.add.reduceat(real[:ends[-1]], ends[:-1], axis=0)[::2]
-            w = c2_phase[k0, :, q & 1] if apply_parity_correction else c2[k0]
-            np.multiply(w[:, :, None], s_rev[lo], out=products[1][:len(q)])
-            num = np.add.reduceat(cplx[:ends[-1]], ends[:-1], axis=0)[::2]
-            p = p.ravel().tolist()
-            # F = |num|^2 / P; Python's complex abs and float ** use libm's hypot and pow
-            f = [None if pb <= 0.0 else abs(z) ** 2 / pb for z, pb in zip(num.ravel().tolist(), p)]
-            if not one:  # F and P as a list over the resource rows per q
-                f, p = ([x[i:i + B] for i in range(0, len(x), B)] for x in (f, p))
-            rows = zip(live, f, bound.tolist(), p)
-        if len(live) < len(batch):  # each unreachable q's row in its place among the others
-            rows = [next(rows) if q <= N + k_max else (q, None, 0.0, 0.0) if one else
-                    (q, [None] * B, 0.0, [0.0] * B) for q in batch]
-        yield from rows
+        q = np.array([min(q, N + k_max + 1) for q in qs[first:first + cap]])
+        shift = q - N
+        k0 = np.maximum(shift, 0)
+        lo = k0 - shift  # s_{q-k0} in s_rev
+        cut = np.maximum(q - k_max, 0)  # the window's k past k_max
+        # each row's start and its window's end, in turn, first the bound's, k = k0..q-cut;
+        # a sum runs up to the last window's end, which so needs no index of its own
+        ends = starts[:2 * len(q)].copy()
+        ends[1::2] += N + 2 - lo - cut
+        products[0][:len(q)] = c2[k0, :, None]
+        bounds += np.add.reduceat(real[:ends[-1], 0], ends[:-1])[::2].tolist()
+        products[0][:len(q)] *= s2_rev[lo]
+        ends[1::2] += cut
+        p = np.add.reduceat(real[:ends[-1]], ends[:-1], axis=0)[::2].ravel().tolist()
+        w = c2_phase[k0, :, q & 1] if apply_parity_correction else c2[k0]
+        np.multiply(w[:, :, None], s_rev[lo], out=products[1][:len(q)])
+        num = np.add.reduceat(cplx[:ends[-1]], ends[:-1], axis=0)[::2]
+        # F = |num|^2 / P; Python's complex abs and float ** use libm's hypot and pow
+        fs += [None if pb <= 0.0 else abs(z) ** 2 / pb for z, pb in zip(num.ravel().tolist(), p)]
+        ps += p
+    if s.ndim > 1:  # F and P as a list over the resource rows per q
+        fs, ps = ([x[i:i + B] for i in range(0, len(x), B)] for x in (fs, ps))
+    return qs, fs, bounds, ps
 
 
 def _starts(a: np.ndarray, width: int) -> np.ndarray:
@@ -175,13 +169,12 @@ def evaluate_all(target: CoherentTarget, resource: QuasiEprResource,
     windows are read from are built once, and a batch of q is summed at once.
     """
     qs = range(resource.N + target.k_max + 1)
-    return [TeleportOutcome(*row) for row in _evaluate(target, resource.s, qs,
-                                                        apply_parity_correction)]
+    return list(map(TeleportOutcome, *_evaluate(target, resource.s, qs, apply_parity_correction)))
 
 
 def outcome_probability(target: CoherentTarget, resource: QuasiEprResource, q: int) -> float:
     """P(q) = sum_k |c_k|^2 |s_{q-k}|^2 over the reachable k window."""
-    return next(_evaluate(target, resource.s, (q,), False))[3]
+    return _evaluate(target, resource.s, (q,), False)[3][0]
 
 
 def post_measurement_state(target: CoherentTarget, resource: QuasiEprResource,
@@ -247,8 +240,8 @@ def fidelity(target: CoherentTarget, resource: QuasiEprResource, q: int,
     the bound) are unchanged.
     """
     # a negative photon-number sum is an impossible outcome, not a bad argument
-    f = None if _is_integer(q) and q < 0 else next(
-        _evaluate(target, resource.s, (q,), apply_parity_correction))[1]
+    f = None if _is_integer(q) and q < 0 else _evaluate(
+        target, resource.s, (q,), apply_parity_correction)[1][0]
     if f is None:
         raise ImpossibleOutcomeError(f"outcome q = {q} has zero probability")
     return f
@@ -268,10 +261,10 @@ def average_fidelity(target: CoherentTarget, resource: QuasiEprResource,
     return _mean_fidelity(_evaluate(target, resource.s, qs, apply_parity_correction))
 
 
-def _mean_fidelity(rows) -> float:
-    """Sum of P(q) F(q) over the reachable (q, F, bound, P) rows, accumulated in row order."""
+def _mean_fidelity(table) -> float:
+    """Sum of P(q) F(q) over the reachable q of a (q, F, bound, P) table, accumulated in q order."""
     total = 0.0
-    for _, f, _, p in rows:
+    for f, p in zip(table[1], table[3]):
         if f is not None:
             total += p * f
     return total
@@ -296,4 +289,4 @@ def high_fidelity_region(alpha: float, N: int) -> tuple[int, int] | None:
 def evaluate_outcome(target: CoherentTarget, resource: QuasiEprResource, q: int,
                      apply_parity_correction: bool = False) -> TeleportOutcome:
     """Bundle F(q), its bound, and P(q); unreachable q yields fidelity None."""
-    return TeleportOutcome(*next(_evaluate(target, resource.s, (q,), apply_parity_correction)))
+    return next(map(TeleportOutcome, *_evaluate(target, resource.s, (q,), apply_parity_correction)))

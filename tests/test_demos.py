@@ -1,6 +1,7 @@
-"""Every script in demos/ runs to completion against the source tree and prints something."""
+"""Every script in demos/ and the README's library quickstart run against the source tree."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,3 +23,16 @@ def test_demo_runs(script):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.strip()
+
+
+def test_readme_quickstart_prints_the_peak_fidelity():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = re.search(r"## Library quickstart\n\n```python\n(.*?)```", readme, re.S).group(1)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    lines = proc.stdout.splitlines()
+    # F(19) from fidelity, then the same bits in evaluate_all's q = 19 row
+    assert lines[1] == "0.99270429402264"
+    assert any(line.startswith("19 0.99270429402264 ") for line in lines[2:])

@@ -1,6 +1,7 @@
 """Filtered inputs, beam-splitter resources, flatness metrics."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from fockport import (
     wigner_d_element,
 )
 from fockport import sweep
-from fockport.quasi_epr import _qualities
+from fockport.quasi_epr import EprQualityReport, _qualities
 
 PI = math.pi
 
@@ -302,12 +303,17 @@ def report_bits(report):
 
 
 class TestBlockQualities:
-    """_qualities scores a block of rows; each row keeps the bits of quality on its own."""
+    """_qualities scores a block of rows as columns; each row keeps the bits of quality on its
+    own."""
 
     @staticmethod
     def assert_rows_match(N, block):
-        reports = _qualities(block)
-        assert len(reports) == len(block)
+        columns = _qualities(block)
+        assert list(columns) == [field.name for field in dataclasses.fields(EprQualityReport)]
+        for cells in columns.values():
+            assert len(cells) == len(block)
+            assert all(type(cell) is type(cells[0]) in (int, float) for cell in cells)
+        reports = [EprQualityReport(*cells) for cells in zip(*columns.values())]
         for s, report in zip(block, reports):
             assert report_bits(report) == report_bits(quality(QuasiEprResource(N, s)))
             assert report_bits(report) == reference_quality(s)

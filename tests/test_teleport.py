@@ -656,7 +656,7 @@ def test_batched_rows_match_the_per_q_loop(kind, n, alpha, parity):
     rng = np.random.default_rng(n)
     for s in (stack[1], stack):
         for qs in q_lists(n, target.k_max, 1 if s.ndim == 1 else len(s), rng):
-            got = list(_evaluate(target, s, qs, parity))
+            got = list(zip(*_evaluate(target, s, qs, parity)))
             assert repr(got) == repr(list(per_q_rows(target, s, qs, parity)))
 
 
@@ -668,12 +668,14 @@ def test_oracle_cases_cover_the_window_shapes():
     assert any(k < n for k, n in pairs) and any(k > n for k, n in pairs)
 
 
-def test_bad_q_raises_before_the_rows_of_its_batch(unit_target, small_resource):
-    rows = _evaluate(unit_target, small_resource.s, [0, 1, -1], False)
-    with pytest.raises(DomainError, match="q must be a non-negative integer, got -1"):
-        next(rows)
-    with pytest.raises(DomainError):
-        list(_evaluate(unit_target, small_resource.s, [0, 1, -1], False))
+def test_a_bad_q_anywhere_raises(unit_target, small_resource):
+    # first, second, or after two whole batches of good q: the table comes whole or not at all
+    good = list(range(2 * max(1, _BATCH // (small_resource.N + 2)) + 1))
+    for bad in (-1, 2.0, None):
+        for where in (0, 1, len(good)):
+            qs = good[:where] + [bad] + good[where:]
+            with pytest.raises(DomainError, match=f"q must be a non-negative integer, got {bad}"):
+                _evaluate(unit_target, small_resource.s, qs, False)
 
 
 _REDUCEAT_CHECK = """

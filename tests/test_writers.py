@@ -256,6 +256,47 @@ def test_column_of_two_kinds_is_refused(column, fmt):
             write_json(io.StringIO(), META, ("q", "x"), blocks, 12)
 
 
+# a one-cell column whose cell would be taken as constant over the block's 3 rows, a column
+# longer than the first, a block of one column under two names and of three under two
+MALFORMED = {
+    "short column": ([[range(3), [1.0]]], "column 'b' holds 1 cells, not 3"),
+    "long column": ([[[0, 1], [1.0, 2.0, 3.0]]], "column 'b' holds 3 cells, not 2"),
+    "short column after a good block": ([[[0], [1.0]], [[1, 2], [None]]], "column 'b' "),
+    "one column under two names": ([[[1]]], "a block of 1 columns under 2 names"),
+    "three columns under two names": ([[[1], [2.0], [3.0]]], "a block of 3 columns under 2 names"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_block_is_refused(case, fmt):
+    blocks, message = MALFORMED[case]
+    with pytest.raises(ValueError, match=message):
+        if fmt == "csv":
+            write_csv(io.StringIO(), ("a", "b"), blocks, 12)
+        else:
+            write_json(io.StringIO(), META, ("a", "b"), blocks, 12)
+
+
+@pytest.mark.parametrize("column, by_cell", [
+    ([1.5e-35, 2.5e-31, 3e-30, 0.25], False), ([1.5e-35, 1e-300], True),
+    ([1.5e-35, 5e-324, 2.5e-310], True), ([1.5e-35, 1e20], True), ([1e-30, math.inf], True)],
+    ids=["e-30 to e-35", "e-300", "subnormal", "e+", "inf"])
+def test_json_float_column_goes_cell_by_cell_only_when_needed(monkeypatch, column, by_cell):
+    # exponents e-30 to e-39 are normal: their %g texts are their own repr, and the column
+    # is converted at once; a subnormal, e+ or non-finite text is converted cell by cell
+    calls = []
+    number = _RowRenderer._number
+    monkeypatch.setattr(_RowRenderer, "_number",
+                        lambda self, value: calls.append(value) or number(self, value))
+    rows = list(enumerate(column))
+    got, want = io.StringIO(), io.StringIO()
+    write_json(got, META, ("q", "x"), _blocks(rows), 12)
+    reference_write_json(want, META, ("q", "x"), rows, 12)
+    assert got.getvalue() == want.getvalue()
+    assert calls == (column if by_cell else [])
+
+
 class _Counted:
     """A cell written as %s by CSV and through float() by JSON; counts both."""
     calls = 0
